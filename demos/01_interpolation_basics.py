@@ -53,20 +53,15 @@ print(f"surface exp(-x^2 - y^2/2) at {np.round(pt, 3)}:",
       f"interpolant {cn.eval_full(tensor, pt):.8f}",
       f"exact {np.exp(-pt[0]**2 - 0.5 * pt[1]**2):.8f}")
 
-# a stack of 5 independent surfaces, each bound at its own x in one sweep
-stack = cn.TensorStack(bases, rng.standard_normal((7, 6, 5)))
-own_x = rng.uniform(-1, 1, 5)
-gather = cn.make_gather_index((7, 6), 5)
-bound = cn.eval_diagonal_batch(stack, own_x, gather)
-print("\nbinding the first variable of each of 5 stacked surfaces at its own")
-print("point in one batched contraction; residual versus a per-member loop:")
+# bind x at 5 points in one batched contraction: column j holds the
+# Chebyshev coefficients in y of the surface restricted to x = xs5[j]
+xs5 = rng.uniform(-1, 1, 5)
+rows = cn.eval_axis(tensor, xs5)
+print(f"\nbinding x at 5 points in one contraction gives a {rows.shape} array")
+print("of coefficients in y; residual of each restricted curve at y = 0.3")
+print("versus evaluating the full surface point by point:")
 worst = 0.0
-for j in range(5):
-    member = cn.eval_axis(stack.member(j), [own_x[j]])[..., 0]
-    worst = max(worst, np.max(np.abs(bound.coefficients[..., j] - member)))
+for j, x in enumerate(xs5):
+    curve = cn.CoefTensor(bases[1:], rows[:, j])
+    worst = max(worst, abs(cn.eval_full(curve, [0.3]) - cn.eval_full(tensor, [x, 0.3])))
 print(f"  max residual: {worst:.2e}")
-
-# the location-index route extracts the same diagonal from the cross product
-picked = gather.take(cn.eval_axis(stack, own_x))
-print("  gather-index route agrees to:",
-      f"{np.max(np.abs(picked - bound.coefficients)):.2e}")

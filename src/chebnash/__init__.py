@@ -2,10 +2,11 @@
 
 The package computes Markov-perfect (feedback) Nash equilibria of a
 J-player linear-quadratic pollution game by discounted value iteration on
-a tensor-product Chebyshev collocation grid, with batched evaluation of
-the interpolants involved and block-parallel scheduling of the per-node
-work.  A coefficient-space fixed point of the same Bellman update serves
-as an exact oracle for the 2-player case.
+a tensor-product Chebyshev collocation grid.  Each sweep evaluates the
+affine drift in closed form and every player's value interpolant at all
+successor states in one batched contraction; the per-node work runs in
+blocks that never change the result.  A coefficient-space fixed point of
+the same Bellman update serves as an exact oracle for the 2-player case.
 """
 
 from .cheb1d import (
@@ -20,14 +21,9 @@ from .cheb1d import (
 )
 from .chebnd import (
     CoefTensor,
-    GatherIndex,
-    TensorStack,
     basis_matrix,
     eval_axis,
-    eval_diagonal_batch,
     eval_full,
-    make_gather_index,
-    stack_coeffs,
     tensor_coeffs,
 )
 from .game import (
@@ -51,7 +47,6 @@ from .solver import (
     fit_policy,
     newton_maximize,
     partition,
-    precompute_dynamics_stack,
     simulate,
     solve,
 )

@@ -6,19 +6,14 @@ been processed.  Evaluation proceeds axis by axis: a basis matrix
 B[j, l] = T_l(x_j) is contracted against the leading coefficient axis and
 the axes rotate so the next dimension becomes leading.
 
-Two batched forms are provided on top of the single-tensor case:
-
-* :func:`eval_axis` binds the leading variable of one tensor (or of every
-  member of a stack) at a shared list of points;
-* :func:`eval_diagonal_batch` binds, for a stack of N_P tensors, the
-  leading variable of member j at its *own* point x_j.  The flat-index
-  selection that extracts this diagonal from the full cross product is
-  produced by :func:`make_gather_index`; the batched evaluator computes
-  the same entries directly without materialising the cross product.
-
-Memory-order convention: stack members live on the trailing axis and the
-flat-index contract (GatherIndex) refers to dimension-1-fastest (Fortran)
-linear order.
+:func:`eval_axis` binds the leading variable of one tensor at a shared
+list of points.  The private kernels below it are the building blocks of
+the solver's batched evaluation of one interpolant at many points:
+:func:`_bind_rows` binds the leading variable at every point against
+shared coefficients, and :func:`_bind_diagonal` binds, for M partially
+bound polynomials, the leading variable of polynomial j at its own
+point x_j.  Both perform a fixed arithmetic sequence per point, so a
+result does not depend on how many points share a call.
 """
 
 from __future__ import annotations
@@ -54,63 +49,6 @@ class CoefTensor:
         return len(self.bases)
 
 
-@dataclass(frozen=True)
-class TensorStack:
-    """N_P interpolants with a shared layout, stacked on the trailing axis."""
-
-    bases: tuple[ChebBasis1D, ...]
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        coef = np.ascontiguousarray(self.coefficients, dtype=float)
-        shape = tuple(b.size for b in self.bases)
-        if coef.ndim != len(shape) + 1 or coef.shape[:-1] != shape:
-            raise ValueError(
-                f"stack shape {coef.shape} does not match member layout {shape} + (count,)"
-            )
-        if coef.shape[-1] < 1:
-            raise ValueError("stack must hold at least one member")
-        object.__setattr__(self, "bases", tuple(self.bases))
-        object.__setattr__(self, "coefficients", _freeze(coef))
-
-    @property
-    def count(self) -> int:
-        return self.coefficients.shape[-1]
-
-    def member(self, j: int) -> CoefTensor:
-        return CoefTensor(self.bases, np.ascontiguousarray(self.coefficients[..., j]))
-
-
-@dataclass(frozen=True)
-class GatherIndex:
-    """Flat-index selection of the member-j / point-j diagonal.
-
-    For a stack whose members have layout `member_shape` = (d1, rest...),
-    contracting the leading axis against one point per member yields an
-    array of shape (rest..., N_P, N_P) whose axis -2 indexes points and
-    axis -1 indexes members.  `flat` lists, in dimension-1-fastest order of
-    the diagonal result (rest..., N_P), the dimension-1-fastest positions
-    of the matching entries of the full cross product.
-    """
-
-    member_shape: tuple[int, ...]
-    count: int
-    flat: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "member_shape", tuple(int(d) for d in self.member_shape))
-        object.__setattr__(self, "flat", _freeze(np.asarray(self.flat, dtype=np.int64)))
-
-    def take(self, contracted: np.ndarray) -> np.ndarray:
-        """Apply the selection to an eval_axis cross product."""
-        rest = self.member_shape[1:]
-        expected = rest + (self.count, self.count)
-        if contracted.shape != expected:
-            raise ValueError(f"expected cross-product shape {expected}, got {contracted.shape}")
-        out = contracted.ravel(order="F")[self.flat]
-        return out.reshape(rest + (self.count,), order="F")
-
-
 def basis_matrix(points, degree: int) -> np.ndarray:
     """Rows of Chebyshev values: B[j, l] = T_l(points[j]), l = 0..degree.
 
@@ -142,11 +80,6 @@ def _row_basis(points: np.ndarray, size: int) -> np.ndarray:
     for l in range(2, size):
         out[:, l] = x2 * out[:, l - 1] - out[:, l - 2]
     return out
-
-
-def _bind_shared(B: np.ndarray, member_first: np.ndarray) -> np.ndarray:
-    """Contract (k, d) against (M, d, rest) -> (M, k, rest); fixed per-member arithmetic."""
-    return np.matmul(B, member_first)
 
 
 def _bind_rows(B: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -190,23 +123,7 @@ def tensor_coeffs(samples, bases) -> CoefTensor:
     return CoefTensor(bases, s)
 
 
-def stack_coeffs(samples, bases) -> TensorStack:
-    """Like :func:`tensor_coeffs` for (N_1+1, ..., N_n+1, N_P) stacked samples."""
-    bases = tuple(bases)
-    s = np.asarray(samples, dtype=float)
-    shape = tuple(b.size for b in bases)
-    if s.ndim != len(shape) + 1 or s.shape[:-1] != shape:
-        raise ValueError(f"sample shape {s.shape} does not match bases {shape} + (count,)")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("samples must be finite")
-    n = len(bases)
-    for _ in range(n):
-        s = cheb_transform(s, axis=0)
-        s = np.moveaxis(s, 0, n - 1)
-    return TensorStack(bases, s)
-
-
-def eval_axis(obj: CoefTensor | TensorStack, points) -> np.ndarray:
+def eval_axis(tensor: CoefTensor, points) -> np.ndarray:
     """Bind the leading variable at a shared list of reference points.
 
     The basis matrix B[j, l] = T_l(points[j]) is contracted against the
@@ -216,100 +133,19 @@ def eval_axis(obj: CoefTensor | TensorStack, points) -> np.ndarray:
     Returns
     -------
     ndarray
-        Shape (N_2+1, ..., N_n+1, k) for a CoefTensor input, and
-        (N_2+1, ..., N_n+1, k, N_P) for a TensorStack input (every member
-        evaluated at every point).  Equals per-point 1-D evaluation along
-        the bound axis.
+        Shape (N_2+1, ..., N_n+1, k): column j holds the coefficients of
+        the tensor with its leading variable bound to points[j].  Equals
+        per-point 1-D evaluation along the bound axis.
     """
     x = clamp_reference(points)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("points must be a non-empty one-dimensional list")
-    d1 = obj.bases[0].size
+    d1 = tensor.bases[0].size
     B = _row_basis(x, d1)
-    A = obj.coefficients
-    if isinstance(obj, CoefTensor):
-        rest = A.shape[1:]
-        out = _bind_rows(B, A.reshape(d1, -1))                  # (k, prod(rest))
-        return np.moveaxis(out.reshape((x.size,) + rest), 0, -1)
-    # stack: member axis last -> member-first 3-D view for the kernel
-    rest = A.shape[1:-1]
-    m = A.shape[-1]
-    Am = np.ascontiguousarray(np.moveaxis(A, -1, 0)).reshape(m, d1, -1)
-    out = _bind_shared(B, Am)                                   # (m, k, prod(rest))
-    out = np.moveaxis(out, 0, -1).reshape((x.size,) + rest + (m,))
-    return np.moveaxis(out, 0, -2)
-
-
-def make_gather_index(member_shape, count: int) -> GatherIndex:
-    """Flat-index selection pairing stack member j with point row j.
-
-    Parameters
-    ----------
-    member_shape : tuple of int
-        Layout (d1, rest...) of each stack member before the contraction.
-    count : int
-        Number of stack members N_P (= number of points).
-
-    Returns
-    -------
-    GatherIndex
-        Applying it to the eval_axis cross product of shape
-        (rest..., N_P, N_P) keeps, for every member j, exactly the rows of
-        point j, yielding (rest..., N_P) in dimension-1-fastest order.
-    """
-    member_shape = tuple(int(d) for d in member_shape)
-    if len(member_shape) < 1 or any(d < 1 for d in member_shape):
-        raise ValueError(f"invalid member shape {member_shape}")
-    if count < 1:
-        raise ValueError("stack count must be positive")
-    rest = int(np.prod(member_shape[1:], dtype=np.int64)) if len(member_shape) > 1 else 1
-    total = rest * count * count
-    if total > np.iinfo(np.int64).max // 8:
-        raise OverflowError("gather index range too large")
-    r = np.arange(rest, dtype=np.int64)
-    m = np.arange(count, dtype=np.int64)
-    flat = (r[:, None] + rest * (count + 1) * m[None, :]).ravel(order="F")
-    return GatherIndex(member_shape=member_shape, count=count, flat=flat)
-
-
-def eval_diagonal_batch(stack: TensorStack, points, gather: GatherIndex) -> TensorStack:
-    """Bind the leading variable of member j at its own point x_j, for all j.
-
-    Parameters
-    ----------
-    stack : TensorStack
-        N_P members of shared layout (d1, rest...).
-    points : array_like
-        N_P reference points, one per member.
-    gather : GatherIndex
-        Selection built by :func:`make_gather_index` for this layout; a
-        mismatched (stale) index is rejected.
-
-    Returns
-    -------
-    TensorStack
-        Members over the remaining axes; member j equals the member-j
-        polynomial with the leading variable bound to points[j].  Computed
-        as the diagonal of the eval_axis cross product, entry by entry,
-        without materialising the off-diagonal rows.
-    """
-    x = clamp_reference(points)
-    member_shape = stack.coefficients.shape[:-1]
-    m = stack.count
-    if x.ndim != 1 or x.size != m:
-        raise ValueError(f"need one point per member, got {x.size} points for {m} members")
-    if gather.member_shape != member_shape or gather.count != m:
-        raise ValueError(
-            f"stale gather index: built for {gather.member_shape} x {gather.count}, "
-            f"stack is {member_shape} x {m}"
-        )
-    d1 = member_shape[0]
-    B = _row_basis(x, d1)
-    Am = np.ascontiguousarray(np.moveaxis(stack.coefficients, -1, 0)).reshape(m, d1, -1)
-    out = _bind_diagonal(B, Am)                                 # (m, prod(rest))
-    rest = member_shape[1:]
-    out = np.moveaxis(out.reshape((m,) + rest), 0, -1)
-    return TensorStack(tuple(stack.bases[1:]), out)
+    A = tensor.coefficients
+    rest = A.shape[1:]
+    out = _bind_rows(B, A.reshape(d1, -1))                      # (k, prod(rest))
+    return np.moveaxis(out.reshape((x.size,) + rest), 0, -1)
 
 
 def eval_full(tensor: CoefTensor, point) -> float:

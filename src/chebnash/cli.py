@@ -87,7 +87,6 @@ def _resolve_config(args) -> dict:
         "p0": file_cfg.get("p0", [0.0] * int(game.get("J", 0))),
         "sim_horizon": file_cfg.get("sim_horizon", 20.0),
         "blocks": file_cfg.get("blocks", 1),
-        "threads": file_cfg.get("threads", 1),
     }
     if args.p0 is not None:
         cfg["p0"] = args.p0
@@ -95,8 +94,6 @@ def _resolve_config(args) -> dict:
         cfg["sim_horizon"] = args.sim_horizon
     if args.blocks is not None:
         cfg["blocks"] = args.blocks
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     return cfg
 
 
@@ -149,7 +146,7 @@ def cmd_solve(args) -> int:
         plan = partition(grid.n_nodes, int(cfg["blocks"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid block count {cfg['blocks']!r}: {exc}") from exc
-    result = solve(spec, plan=plan, workers=int(cfg["threads"]))
+    result = solve(spec, plan=plan)
     _write_run_json(out, cfg)
 
     idx = np.arange(grid.n_nodes)
@@ -232,7 +229,7 @@ def cmd_compare(args) -> int:
         grid = build_state_grid(spec_d)
         feedback = lq_solve(spec_d, grid)
         t0 = time.perf_counter()
-        result = solve(spec_d, workers=int(cfg["threads"]))
+        result = solve(spec_d)
         times.append(time.perf_counter() - t0)
         if not result.converged:
             print(f"warning: Np={deg} did not converge", file=sys.stderr)
@@ -268,7 +265,7 @@ def cmd_bench_blocks(args) -> int:
         iterations = None
         for _ in range(reps):
             t0 = time.perf_counter()
-            result = solve(spec, plan=plan, workers=int(cfg["threads"]))
+            result = solve(spec, plan=plan)
             samples.append(time.perf_counter() - t0)
             iterations = result.iterations
         rows.append((nb, plan.block_size, float(np.median(samples))))
@@ -303,7 +300,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--pm", type=float, help="state upper bound P_max")
     p.add_argument("--um", type=float, help="control upper bound U_max")
     p.add_argument("--blocks", type=int, help="number of blocks N_b")
-    p.add_argument("--threads", type=int, help="worker threads")
     p.add_argument("--sim-horizon", type=float, dest="sim_horizon",
                    help="simulation horizon in time units")
     p.add_argument("--p0", type=_parse_floats, help="initial state, comma separated")

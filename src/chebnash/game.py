@@ -103,7 +103,7 @@ class StateGrid:
     """Tensor-product collocation grid over the state box [0, P_max]^J.
 
     `nodes` enumerates all node tuples with dimension 1 fastest-varying,
-    matching the trailing-axis order of stacked coefficient arrays.
+    so node values reshape to the grid shape in Fortran order.
     """
 
     bases: tuple[ChebBasis1D, ...]

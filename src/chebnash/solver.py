@@ -4,21 +4,21 @@ The iteration keeps, for every player, the node values of the value
 function together with its state-space interpolant and the current policy
 values.  One sweep performs, at every state node and for every player:
 
-1. bind the other players' controls (at their current policy values) in
-   the precomputed control-space drift interpolants, leaving, per node,
-   a one-variable polynomial family for the player's own control;
-2. evaluate the candidate objective at the player's control nodes:
-   stage gain plus the discounted value interpolant at the Euler
-   successor state, everything multiplied by the per-step discount;
+1. evaluate the affine drift g(p, u) in closed form at the player's
+   control nodes, the other players held at their current policy values,
+   and take the Euler successor states;
+2. evaluate the player's value interpolant at all successor states in one
+   batched, axis-by-axis contraction (:func:`_successor_values`) and form
+   the candidate objective: stage gain plus discounted successor value;
 3. fit the one-dimensional Chebyshev interpolant of those samples and
    maximise it over the control interval with a safeguarded Newton
    iteration on its derivative;
 4. after all nodes are done, refit the state-space value interpolants.
 
 Work is scheduled in blocks of nodes (an exact factorisation
-N_b * N_f = N_P); blocks may run on a thread pool.  Every kernel on the
-block path performs a fixed per-node arithmetic sequence, so results are
-bitwise identical for every block plan and worker count.
+N_b * N_f = N_P) that run one after another.  Every kernel on the block
+path performs a fixed per-node arithmetic sequence, so results are
+bitwise identical for every block plan.
 
 Successor states are clamped to the state box before interpolation; the
 solver warns when more than 1% of the sampled successor components clamp,
@@ -29,22 +29,12 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cheb1d import CoefVector, derivative_array, make_basis, reference_nodes
-from .chebnd import (
-    CoefTensor,
-    TensorStack,
-    _bind_diagonal,
-    _bind_rows,
-    _bind_shared,
-    _row_basis,
-    stack_coeffs,
-    tensor_coeffs,
-)
+from .chebnd import CoefTensor, _bind_diagonal, _bind_rows, _row_basis, tensor_coeffs
 from .game import GameSpec, StateGrid, build_state_grid, dynamics, step
 
 _NEWTON_MAX_ITER = 30
@@ -130,34 +120,8 @@ class EquilibriumResult:
 
 
 # ---------------------------------------------------------------------------
-# offline precomputation
+# per-player constants
 # ---------------------------------------------------------------------------
-
-def control_bases(spec: GameSpec):
-    """Per-player control bases on [0, U_max] with degrees spec.Nu."""
-    return tuple(make_basis(int(n), 0.0, spec.U_max) for n in spec.Nu)
-
-
-def precompute_dynamics_stack(spec: GameSpec, grid: StateGrid) -> list[TensorStack]:
-    """Control-space drift interpolants, one stack member per state node.
-
-    For every player i, member j of stack i interpolates
-    u -> g_i(node_j, u) through all control node tuples of [0, U_max]^J.
-    These are computed once; every sweep only binds and evaluates them.
-    """
-    bases = control_bases(spec)
-    cshape = tuple(b.size for b in bases)
-    grids = np.meshgrid(*(b.nodes for b in bases), indexing="ij")
-    controls = np.stack([g.ravel(order="F") for g in grids], axis=-1)
-    vals = dynamics(spec, grid.nodes[None, :, :], controls[:, None, :])
-    J = spec.J
-    stacks = []
-    for i in range(J):
-        a = vals[:, :, i].reshape(tuple(reversed(cshape)) + (grid.n_nodes,))
-        a = np.transpose(a, tuple(range(J - 1, -1, -1)) + (J,))
-        stacks.append(stack_coeffs(a, bases))
-    return stacks
-
 
 def _transform_matrix(degree: int) -> np.ndarray:
     """Matrix form of the 1-D node-samples -> coefficients transform."""
@@ -172,45 +136,28 @@ def _transform_matrix(degree: int) -> np.ndarray:
 
 
 class _PlayerWork:
-    """Per-player constants: reordered drift coefficients and stage table."""
+    """Per-player constants: own control nodes, fit matrix and stage table."""
 
-    __slots__ = ("index", "bind_order", "bind_sizes", "coeffs", "K", "B0", "M0", "stage")
+    __slots__ = ("K", "u_nodes", "M0", "stage")
 
-    def __init__(self, spec: GameSpec, grid: StateGrid, stacks: list[TensorStack], i: int):
-        J = spec.J
-        self.index = i
-        self.bind_order = [j for j in range(J) if j != i]
-        self.bind_sizes = [int(spec.Nu[j]) + 1 for j in self.bind_order]
-        # axes: (node, bound dims ascending..., own control dim, component)
-        parts = []
-        for comp in range(J):
-            a = np.moveaxis(stacks[comp].coefficients, -1, 0)
-            parts.append(np.transpose(a, [0] + [1 + j for j in self.bind_order] + [1 + i]))
-        self.coeffs = np.ascontiguousarray(np.stack(parts, axis=-1))
+    def __init__(self, spec: GameSpec, grid: StateGrid, i: int):
         self.K = int(spec.Nu[i]) + 1
-        self.B0 = _row_basis(reference_nodes(int(spec.Nu[i])), self.K)
+        self.u_nodes = make_basis(int(spec.Nu[i]), 0.0, spec.U_max).nodes
         self.M0 = _transform_matrix(int(spec.Nu[i]))
-        u_nodes = make_basis(int(spec.Nu[i]), 0.0, spec.U_max).nodes
-        gain = u_nodes * (spec.A[i] - 0.5 * u_nodes)
+        gain = self.u_nodes * (spec.A[i] - 0.5 * self.u_nodes)
         damage = 0.5 * spec.phi[i] * grid.nodes[:, i] ** 2
         self.stage = spec.h * (gain[None, :] - damage[:, None])
 
 
 class _Workspace:
-    __slots__ = ("spec", "grid", "state_sizes", "u_scale", "p_scale", "players")
+    __slots__ = ("spec", "grid", "u_scale", "p_scale", "players")
 
-    def __init__(self, spec: GameSpec, grid: StateGrid, stacks: list[TensorStack]):
-        if len(stacks) != spec.J:
-            raise ValueError("need one drift stack per player")
-        for st in stacks:
-            if st.count != grid.n_nodes:
-                raise ValueError("drift stacks and grid disagree on the node count")
+    def __init__(self, spec: GameSpec, grid: StateGrid):
         self.spec = spec
         self.grid = grid
-        self.state_sizes = list(grid.shape)
         self.u_scale = 2.0 / spec.U_max
         self.p_scale = 2.0 / spec.P_max
-        self.players = [_PlayerWork(spec, grid, stacks, i) for i in range(spec.J)]
+        self.players = [_PlayerWork(spec, grid, i) for i in range(spec.J)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +303,27 @@ def newton_maximize(coeffs: CoefVector, u0: float) -> tuple[float, float]:
 # one sweep
 # ---------------------------------------------------------------------------
 
+def _successor_values(coef: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Tensor interpolant with coefficient array `coef` at each row of `pts`.
+
+    `pts` holds P reference points of len(coef.shape) >= 2 coordinates.
+    The leading variable is bound at all points at once against the shared
+    coefficients, every further variable row by row (point q binds its own
+    coordinate in its own partially bound polynomial), and the last one
+    collapses to one value per point.  Every point goes through the same
+    arithmetic regardless of how many points share the call.
+    """
+    sizes = coef.shape
+    n = len(sizes)
+    B = _row_basis(pts[:, 0], sizes[0])
+    cur = _bind_rows(B, coef.reshape(sizes[0], -1))
+    for d in range(1, n - 1):
+        B = _row_basis(pts[:, d], sizes[d])
+        cur = _bind_diagonal(B, cur.reshape(-1, sizes[d], cur.shape[1] // sizes[d]))
+    B = _row_basis(pts[:, n - 1], sizes[n - 1])
+    return np.einsum("ql,ql->q", B, cur.reshape(-1, sizes[n - 1]))
+
+
 def _best_response_block(
     ws: _Workspace,
     i: int,
@@ -371,31 +339,20 @@ def _best_response_block(
     m = sl.stop - sl.start
     J = spec.J
 
-    # Step 1: bind the other players' current controls, node by node.
-    cur = pw.coeffs[sl]
-    for t, j in enumerate(pw.bind_order):
-        xb = policy_values[j, sl] * ws.u_scale - 1.0
-        B = _row_basis(xb, pw.bind_sizes[t])
-        cur = _bind_diagonal(B, cur.reshape(m, pw.bind_sizes[t], -1))
-
-    # Step 2: drift at the player's own control nodes and successor states.
-    g = _bind_shared(pw.B0, cur.reshape(m, pw.K, J))          # (m, K, J)
-    nxt = ws.grid.nodes[sl][:, None, :] + spec.h * g
+    # Step 1: drift at the player's own control nodes, the others at their
+    # current controls, and the Euler successor states.  The nodes keep a
+    # per-node axis so `dynamics` does one small product per node, whose
+    # rounding cannot depend on the block size.
+    nodes = ws.grid.nodes[sl][:, None, :]                      # (m, 1, J)
+    u = np.repeat(policy_values[:, sl].T[:, None, :], pw.K, axis=1)
+    u[:, :, i] = pw.u_nodes                                    # (m, K, J)
+    nxt = nodes + spec.h * dynamics(spec, nodes, u)
     clipped = np.clip(nxt, 0.0, spec.P_max)
     n_clamped = int(np.count_nonzero(clipped != nxt))
     pts = clipped.reshape(-1, J) * ws.p_scale - 1.0           # (m*K, J)
 
-    # discounted value at the successor states (diagonal over the point axis)
-    vc = value_coeffs[i]
-    sizes = ws.state_sizes
-    B = _row_basis(pts[:, 0], sizes[0])
-    curv = _bind_rows(B, vc.reshape(sizes[0], -1))
-    for d in range(1, J - 1):
-        B = _row_basis(pts[:, d], sizes[d])
-        curv = _bind_diagonal(B, curv.reshape(-1, sizes[d], curv.shape[1] // sizes[d]))
-    B = _row_basis(pts[:, J - 1], sizes[J - 1])
-    v_next = np.einsum("ql,ql->q", B, curv.reshape(-1, sizes[J - 1]))
-
+    # Step 2: discounted objective at the player's control nodes.
+    v_next = _successor_values(value_coeffs[i], pts)
     objective = spec.delta * (pw.stage[sl] + v_next.reshape(m, pw.K))
     if not np.all(np.isfinite(objective)):
         raise FloatingPointError("non-finite objective sample in sweep")
@@ -414,34 +371,22 @@ def _run_sweep(
     value_coeffs: list[np.ndarray],
     policy_values: np.ndarray,
     plan: BlockPlan,
-    executor: ThreadPoolExecutor | None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     spec = ws.spec
     n = ws.grid.n_nodes
     out_u = np.empty((spec.J, n))
     out_v = np.empty((spec.J, n))
-    tasks = [(i, sl) for i in range(spec.J) for sl in plan.slices()]
-    if executor is None:
-        counts = [
-            _best_response_block(ws, i, sl, value_coeffs, policy_values, out_u, out_v)
-            for i, sl in tasks
-        ]
-    else:
-        counts = list(
-            executor.map(
-                lambda t: _best_response_block(
-                    ws, t[0], t[1], value_coeffs, policy_values, out_u, out_v
-                ),
-                tasks,
-            )
-        )
-    return out_u, out_v, int(sum(counts))
+    clamped = 0
+    for i in range(spec.J):
+        for sl in plan.slices():
+            clamped += _best_response_block(ws, i, sl, value_coeffs, policy_values, out_u, out_v)
+    return out_u, out_v, clamped
 
 
 def _refit(ws: _Workspace, node_values: np.ndarray) -> tuple[list[CoefTensor], list[np.ndarray]]:
     tensors = []
     arrays = []
-    shape = tuple(ws.state_sizes)
+    shape = ws.grid.shape
     for i in range(ws.spec.J):
         t = tensor_coeffs(node_values[i].reshape(shape, order="F"), ws.grid.bases)
         tensors.append(t)
@@ -454,7 +399,6 @@ def bellman_sweep(
     grid: StateGrid,
     values: ValueField,
     policy: PolicyField,
-    stacks: list[TensorStack],
     plan: BlockPlan | None = None,
 ) -> tuple[ValueField, PolicyField]:
     """One synchronous best-response sweep over all players and nodes.
@@ -462,12 +406,12 @@ def bellman_sweep(
     All players respond to the iteration-r fields; the result is bitwise
     independent of the block plan.
     """
-    ws = _Workspace(spec, grid, stacks)
+    ws = _Workspace(spec, grid)
     plan = plan if plan is not None else partition(grid.n_nodes, 1)
     if plan.n_nodes != grid.n_nodes:
         raise ValueError("block plan does not cover the grid")
     coeff_arrays = [t.coefficients for t in values.interpolants]
-    u_new, v_new, _ = _run_sweep(ws, coeff_arrays, policy.values, plan, None)
+    u_new, v_new, _ = _run_sweep(ws, coeff_arrays, policy.values, plan)
     tensors, _ = _refit(ws, v_new)
     return ValueField(values=v_new, interpolants=tensors), PolicyField(values=u_new)
 
@@ -496,7 +440,6 @@ def solve(
     spec: GameSpec,
     plan: BlockPlan | None = None,
     init=None,
-    workers: int = 1,
 ) -> EquilibriumResult:
     """Iterate best-response sweeps until the value change drops below tol.
 
@@ -510,8 +453,6 @@ def solve(
     init : pair, optional
         Initial (values, policy) as (J, N_P) arrays or field objects;
         defaults to zero values and the myopic policy u_i = A_i.
-    workers : int
-        Thread count for block processing; 1 runs inline.
 
     Returns
     -------
@@ -521,8 +462,7 @@ def solve(
     """
     t_start = time.perf_counter()
     grid = build_state_grid(spec)
-    stacks = precompute_dynamics_stack(spec, grid)
-    ws = _Workspace(spec, grid, stacks)
+    ws = _Workspace(spec, grid)
     n = grid.n_nodes
     plan = plan if plan is not None else partition(n, 1)
     if plan.n_nodes != n:
@@ -532,25 +472,20 @@ def solve(
     targets_per_sweep = n * sum(pw.K for pw in ws.players) * spec.J
     t_setup = time.perf_counter() - t_start
 
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     history = []
     clamp_fraction = 0.0
     converged = False
     iterations = 0
-    try:
-        for iterations in range(1, spec.max_iters + 1):
-            u_new, v_new, clamped = _run_sweep(ws, coeff_arrays, u_values, plan, executor)
-            clamp_fraction = max(clamp_fraction, clamped / targets_per_sweep)
-            diffs = np.max(np.abs(v_new - v_values), axis=1)
-            history.append(diffs)
-            v_values, u_values = v_new, u_new
-            tensors, coeff_arrays = _refit(ws, v_values)
-            if float(diffs.max()) < spec.tol:
-                converged = True
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    for iterations in range(1, spec.max_iters + 1):
+        u_new, v_new, clamped = _run_sweep(ws, coeff_arrays, u_values, plan)
+        clamp_fraction = max(clamp_fraction, clamped / targets_per_sweep)
+        diffs = np.max(np.abs(v_new - v_values), axis=1)
+        history.append(diffs)
+        v_values, u_values = v_new, u_new
+        tensors, coeff_arrays = _refit(ws, v_values)
+        if float(diffs.max()) < spec.tol:
+            converged = True
+            break
     if clamp_fraction > _CLAMP_WARN_FRACTION:
         warnings.warn(
             f"{clamp_fraction:.1%} of successor-state samples clamped to the state box; "
@@ -583,16 +518,6 @@ def fit_policy(grid: StateGrid, policy: PolicyField) -> list[CoefTensor]:
     ]
 
 
-def _basis_vector(x: float, size: int) -> np.ndarray:
-    v = np.empty(size)
-    v[0] = 1.0
-    if size > 1:
-        v[1] = x
-    for l in range(2, size):
-        v[l] = 2.0 * x * v[l - 1] - v[l - 2]
-    return v
-
-
 def simulate(
     spec: GameSpec,
     policies: list[CoefTensor],
@@ -611,8 +536,6 @@ def simulate(
     if p.shape != (J,) or np.any(p < 0.0) or np.any(p > spec.P_max):
         raise ValueError(f"p0 must lie in [0, {spec.P_max}]^{J}")
     coefs = np.stack([pt.coefficients for pt in policies], axis=-1)
-    letters = "abcdefgh"[:J]
-    expr = f"{letters}z," + ",".join(letters) + "->z"
     sizes = [b.size for b in policies[0].bases]
     n_steps = int(n_steps)
     t = np.arange(n_steps + 1) * spec.h
@@ -621,8 +544,13 @@ def simulate(
     scale = 2.0 / spec.P_max
     for nstep in range(n_steps + 1):
         states[nstep] = p
-        vecs = [_basis_vector(scale * p[d] - 1.0, sizes[d]) for d in range(J)]
-        u = np.clip(np.einsum(expr, coefs, *vecs), 0.0, spec.U_max)
+        c = coefs
+        for x, size in zip((scale * p - 1.0).tolist(), sizes):
+            cheb = [1.0, x]
+            for _ in range(size - 2):
+                cheb.append(2.0 * x * cheb[-1] - cheb[-2])
+            c = np.array(cheb[:size]) @ c.reshape(size, -1)
+        u = np.clip(c, 0.0, spec.U_max)
         controls[nstep] = u
         if nstep < n_steps:
             p = step(spec, p, u)

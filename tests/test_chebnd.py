@@ -1,20 +1,10 @@
-"""Unit tests for tensor-product interpolation and batched evaluation."""
+"""Unit tests for tensor-product interpolation and axis-wise evaluation."""
 
 import numpy as np
 import pytest
 
 from chebnash.cheb1d import coeffs_from_samples, make_basis, to_reference
-from chebnash.chebnd import (
-    CoefTensor,
-    TensorStack,
-    basis_matrix,
-    eval_axis,
-    eval_diagonal_batch,
-    eval_full,
-    make_gather_index,
-    stack_coeffs,
-    tensor_coeffs,
-)
+from chebnash.chebnd import CoefTensor, basis_matrix, eval_axis, eval_full, tensor_coeffs
 
 
 def grid_samples(fn, bases):
@@ -30,14 +20,6 @@ def trig_eval_nd(coefs, point):
     for v in vecs:
         out = np.tensordot(v, out, axes=([0], [0]))
     return float(out)
-
-
-def random_stack(rng, ndim, max_degree, count):
-    bases = tuple(
-        make_basis(int(rng.integers(1, max_degree + 1)), -1.0, 1.0) for _ in range(ndim)
-    )
-    shape = tuple(b.size for b in bases) + (count,)
-    return TensorStack(bases, rng.standard_normal(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +64,6 @@ def test_tensor_coeffs_rejects_nan():
     bases = (make_basis(1, -1.0, 1.0),)
     with pytest.raises(ValueError):
         tensor_coeffs(np.array([1.0, np.nan]), bases)
-
-
-def test_stack_coeffs_members_match_single_transforms():
-    rng = np.random.default_rng(30)
-    bases = (make_basis(3, -1.0, 1.0), make_basis(4, -1.0, 1.0))
-    samples = rng.standard_normal((4, 5, 6))
-    st = stack_coeffs(samples, bases)
-    assert st.count == 6
-    for j in range(6):
-        single = tensor_coeffs(samples[:, :, j], bases)
-        np.testing.assert_allclose(st.coefficients[:, :, j], single.coefficients,
-                                   atol=1e-13)
 
 
 def test_interpolation_invariant_at_node_tuples():
@@ -141,17 +111,6 @@ def test_eval_axis_degree_zero_rows_equal_coefficient_slice():
         np.testing.assert_allclose(out[:, j], coefs[0], atol=1e-15)
 
 
-def test_eval_axis_stack_shape_and_values():
-    rng = np.random.default_rng(35)
-    st = random_stack(rng, 2, 4, 6)
-    pts = rng.uniform(-1, 1, 5)
-    out = eval_axis(st, pts)
-    assert out.shape == (st.bases[1].size, 5, 6)
-    for j in range(6):
-        single = eval_axis(st.member(j), pts)
-        np.testing.assert_allclose(out[:, :, j], single, atol=1e-12)
-
-
 def test_eval_axis_rejects_empty_and_out_of_range():
     t = CoefTensor((make_basis(2, -1, 1),), np.ones(3))
     with pytest.raises(ValueError):
@@ -165,125 +124,6 @@ def test_basis_matrix_matches_trig():
     B = basis_matrix(pts, 6)
     expect = np.cos(np.arange(7)[None, :] * np.arccos(pts)[:, None])
     np.testing.assert_allclose(B, expect, atol=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# gather index
-# ---------------------------------------------------------------------------
-
-def test_gather_identity_for_single_member():
-    g = make_gather_index((3, 2), 1)
-    np.testing.assert_array_equal(g.flat, np.arange(2))
-
-
-def test_gather_two_members_hand_enumeration():
-    g = make_gather_index((2,), 2)
-    np.testing.assert_array_equal(g.flat, [0, 3])
-
-
-def test_gather_take_equals_member_loop():
-    rng = np.random.default_rng(36)
-    st = random_stack(rng, 3, 3, 7)
-    pts = rng.uniform(-1, 1, 7)
-    cross = eval_axis(st, pts)                       # (rest..., 7, 7)
-    g = make_gather_index(st.coefficients.shape[:-1], 7)
-    picked = g.take(cross)
-    for j in range(7):
-        single = eval_axis(st.member(j), [pts[j]])[..., 0]
-        np.testing.assert_allclose(picked[..., j], single, atol=1e-12)
-
-
-def test_gather_determinism():
-    a = make_gather_index((4, 3, 2), 5)
-    b = make_gather_index((4, 3, 2), 5)
-    np.testing.assert_array_equal(a.flat, b.flat)
-    assert a.member_shape == b.member_shape and a.count == b.count
-
-
-def test_gather_index_length_range_injectivity():
-    rng = np.random.default_rng(47)
-    for _ in range(10):
-        ndim = int(rng.integers(1, 4))
-        shape = tuple(int(rng.integers(1, 6)) for _ in range(ndim))
-        count = int(rng.integers(1, 20))
-        g = make_gather_index(shape, count)
-        rest = int(np.prod(shape[1:])) if ndim > 1 else 1
-        assert g.flat.size == rest * count
-        assert g.flat.min() >= 0 and g.flat.max() < rest * count * count
-        assert np.unique(g.flat).size == g.flat.size
-
-
-def test_gather_rejects_bad_layout():
-    with pytest.raises(ValueError):
-        make_gather_index((0, 2), 3)
-    with pytest.raises(ValueError):
-        make_gather_index((2, 2), 0)
-
-
-# ---------------------------------------------------------------------------
-# eval_diagonal_batch
-# ---------------------------------------------------------------------------
-
-def test_diagonal_batch_consistent_with_shared_point():
-    rng = np.random.default_rng(37)
-    bases = (make_basis(3, -1, 1), make_basis(2, -1, 1))
-    member = rng.standard_normal((4, 3))
-    st = TensorStack(bases, np.repeat(member[:, :, None], 5, axis=2))
-    g = make_gather_index((4, 3), 5)
-    out = eval_diagonal_batch(st, np.full(5, 0.4), g)
-    single = eval_axis(CoefTensor(bases, member), [0.4])[..., 0]
-    for j in range(5):
-        np.testing.assert_allclose(out.coefficients[..., j], single, atol=1e-13)
-
-
-def test_diagonal_batch_matches_independent_eval_axis():
-    rng = np.random.default_rng(38)
-    st = random_stack(rng, 2, 5, 3)
-    pts = rng.uniform(-1, 1, 3)
-    g = make_gather_index(st.coefficients.shape[:-1], 3)
-    out = eval_diagonal_batch(st, pts, g)
-    for j in range(3):
-        expect = eval_axis(st.member(j), [pts[j]])[..., 0]
-        np.testing.assert_allclose(out.coefficients[..., j], expect, atol=1e-12)
-
-
-def test_diagonal_batch_agrees_with_gather_route():
-    rng = np.random.default_rng(39)
-    st = random_stack(rng, 3, 4, 6)
-    pts = rng.uniform(-1, 1, 6)
-    g = make_gather_index(st.coefficients.shape[:-1], 6)
-    direct = eval_diagonal_batch(st, pts, g).coefficients
-    gathered = g.take(eval_axis(st, pts))
-    np.testing.assert_allclose(direct, gathered, atol=1e-12)
-
-
-def test_full_binding_gives_per_member_scalars():
-    rng = np.random.default_rng(40)
-    st = random_stack(rng, 3, 3, 4)
-    pts = rng.uniform(-1, 1, (3, 4))
-    cur = st
-    for d in range(3):
-        g = make_gather_index(cur.coefficients.shape[:-1], 4)
-        cur = eval_diagonal_batch(cur, pts[d], g)
-    for j in range(4):
-        expect = eval_full(st.member(j), pts[:, j])
-        assert cur.coefficients[j] == pytest.approx(expect, abs=1e-11)
-
-
-def test_diagonal_batch_rejects_length_mismatch():
-    rng = np.random.default_rng(41)
-    st = random_stack(rng, 2, 3, 4)
-    g = make_gather_index(st.coefficients.shape[:-1], 4)
-    with pytest.raises(ValueError):
-        eval_diagonal_batch(st, np.zeros(3), g)
-
-
-def test_diagonal_batch_rejects_stale_gather():
-    rng = np.random.default_rng(42)
-    st = random_stack(rng, 2, 3, 4)
-    stale = make_gather_index((99, 2), 4)
-    with pytest.raises(ValueError):
-        eval_diagonal_batch(st, np.zeros(4), stale)
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +165,6 @@ def test_eval_full_dimension_mismatch():
 # ---------------------------------------------------------------------------
 # module invariants
 # ---------------------------------------------------------------------------
-
-def test_batched_naive_equivalence():
-    rng = np.random.default_rng(44)
-    for trial in range(20):
-        ndim = int(rng.integers(1, 5))
-        count = int(rng.integers(1, 33))
-        st = random_stack(rng, ndim, 6, count)
-        pts = rng.uniform(-1, 1, (ndim, count))
-        cur = st
-        for d in range(ndim):
-            g = make_gather_index(cur.coefficients.shape[:-1], count)
-            cur = eval_diagonal_batch(cur, pts[d], g)
-        naive = np.array([eval_full(st.member(j), pts[:, j]) for j in range(count)])
-        np.testing.assert_allclose(cur.coefficients, naive, atol=1e-11)
-
 
 def test_axis_order_consistency():
     rng = np.random.default_rng(45)

@@ -99,6 +99,29 @@ def test_rerun_from_run_json_reproduces_outputs_bitwise(tmp_path):
     assert (out1 / "convergence.csv").read_bytes() == (out2 / "convergence.csv").read_bytes()
 
 
+def test_run_json_with_threads_key_reproduces_outputs_bitwise(tmp_path):
+    # run.json files written by earlier versions carry a "threads" entry;
+    # it is ignored like any other unknown key.
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    run_cli(["solve", "--preset", "example1", *FAST, "--out", str(out1)])
+    cfg = json.loads((out1 / "run.json").read_text())
+    assert "threads" not in cfg
+    cfg["threads"] = 2
+    old_run = tmp_path / "old_run.json"
+    old_run.write_text(json.dumps(cfg, indent=2) + "\n")
+    run_cli(["solve", "--config", str(old_run), "--out", str(out2)])
+    for name in ("policy.csv", "value.csv", "convergence.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_threads_flag_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--preset", "example1", *FAST, "--threads", "2",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+
+
 def test_flags_override_config_file(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"preset": "example1", "game": {"h": 0.01}}))

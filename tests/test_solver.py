@@ -7,7 +7,7 @@ import pytest
 
 from chebnash.cheb1d import CoefVector, coeffs_from_samples, make_basis
 from chebnash.chebnd import eval_full
-from chebnash.game import build_state_grid, discounted_payoff, dynamics
+from chebnash.game import GameSpec, build_state_grid, discounted_payoff, dynamics
 from chebnash.presets import preset_spec
 from chebnash.solver import (
     PolicyField,
@@ -16,7 +16,6 @@ from chebnash.solver import (
     fit_policy,
     newton_maximize,
     partition,
-    precompute_dynamics_stack,
     simulate,
     solve,
 )
@@ -62,55 +61,6 @@ def test_partition_eight_blocks_cover_disjointly():
 def test_partition_rejects_non_divisor():
     with pytest.raises(ValueError):
         partition(512, 7)
-
-
-# ---------------------------------------------------------------------------
-# dynamics stacks
-# ---------------------------------------------------------------------------
-
-def test_stack_members_interpolate_dynamics():
-    spec = fast_spec(Np=2, Nu=3)
-    grid = build_state_grid(spec)
-    stacks = precompute_dynamics_stack(spec, grid)
-    b = make_basis(3, 0.0, spec.U_max)
-    ref = (2.0 * b.nodes - spec.U_max) / spec.U_max
-    rng = np.random.default_rng(1)
-    for j in rng.integers(0, grid.n_nodes, 4):
-        for k1 in range(4):
-            for k2 in range(4):
-                u = np.array([b.nodes[k1], b.nodes[k2]])
-                expect = dynamics(spec, grid.nodes[j], u)
-                for i in range(2):
-                    got = eval_full(stacks[i].member(j), [ref[k1], ref[k2]])
-                    assert got == pytest.approx(expect[i], rel=1e-10, abs=1e-12)
-
-
-def test_stack_affine_in_own_control_two_levels():
-    spec = fast_spec(Np=1, Nu=4)
-    grid = build_state_grid(spec)
-    stacks = precompute_dynamics_stack(spec, grid)
-    for i in range(2):
-        coefs = stacks[i].coefficients      # (5, 5, N_P)
-        mask = np.zeros((5, 5), dtype=bool)
-        mask[0, 0] = mask[1, 0] = mask[0, 1] = mask[1, 1] = True
-        axis_i = [slice(None)] * 2
-        # degrees >= 2 in any direction must vanish; only degree {0,1} in dim i
-        off = coefs.copy()
-        if i == 0:
-            off[:2, 0, :] = 0.0
-        else:
-            off[0, :2, :] = 0.0
-        assert np.max(np.abs(off)) < 1e-12
-
-
-def test_zero_beta_stack_constant_in_control():
-    spec = fast_spec(beta=0.0, Np=1, Nu=3)
-    grid = build_state_grid(spec)
-    stacks = precompute_dynamics_stack(spec, grid)
-    for st in stacks:
-        rest = st.coefficients.copy()
-        rest[0, 0, :] = 0.0
-        assert np.max(np.abs(rest)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +117,8 @@ def _zero_fields(spec, grid):
 def test_first_sweep_from_zero_recovers_myopic_policy():
     spec = fast_spec(Np=2, Nu=3)
     grid = build_state_grid(spec)
-    stacks = precompute_dynamics_stack(spec, grid)
     values, policy = _zero_fields(spec, grid)
-    v1, u1 = bellman_sweep(spec, grid, values, policy, stacks)
+    v1, u1 = bellman_sweep(spec, grid, values, policy)
     np.testing.assert_allclose(u1.values, 0.5, atol=1e-9)
     # value = delta * h * G_i(p_i, A_i)
     for i in range(2):
@@ -182,11 +131,10 @@ def test_first_sweep_from_zero_recovers_myopic_policy():
 def test_sweep_bitwise_identical_across_plans():
     spec = fast_spec(Np=2, Nu=3)
     grid = build_state_grid(spec)
-    stacks = precompute_dynamics_stack(spec, grid)
     values, policy = _zero_fields(spec, grid)
-    base_v, base_u = bellman_sweep(spec, grid, values, policy, stacks, partition(9, 1))
+    base_v, base_u = bellman_sweep(spec, grid, values, policy, partition(9, 1))
     for nb in (3, 9):
-        v, u = bellman_sweep(spec, grid, values, policy, stacks, partition(9, nb))
+        v, u = bellman_sweep(spec, grid, values, policy, partition(9, nb))
         assert np.array_equal(v.values, base_v.values)
         assert np.array_equal(u.values, base_u.values)
 
@@ -263,11 +211,11 @@ def test_policy_feasible_within_box():
     assert np.all(result.policy.values <= spec.U_max)
 
 
-def test_solve_plan_and_worker_invariance_bitwise():
+def test_solve_plan_invariance_bitwise():
     spec = fast_spec(Np=2, Nu=2, tol=1e-4)
     base = solve_quiet(spec)
-    for nb, workers in ((3, 1), (9, 1), (3, 2), (1, 2)):
-        other = solve_quiet(spec, plan=partition(9, nb), workers=workers)
+    for nb in (3, 9):
+        other = solve_quiet(spec, plan=partition(9, nb))
         assert other.iterations == base.iterations
         assert np.array_equal(other.values.values, base.values.values)
         assert np.array_equal(other.policy.values, base.policy.values)
@@ -291,6 +239,18 @@ def test_clamp_warning_when_box_too_small():
     spec = fast_spec(Np=2, Nu=2, P_max=0.2, U_max=0.5, tol=1e-2, max_iters=50)
     with pytest.warns(RuntimeWarning, match="clamped"):
         solve(spec)
+
+
+def test_no_clamps_when_no_successor_leaves_the_box():
+    # With P_max = 50 every Euler successor of a node stays inside the box,
+    # so a clamp could only come from rounding in the drift.
+    spec = preset_spec("example1", Np=3, Nu=3, h=1e-2, P_max=50.0, max_iters=1)
+    zeros = np.zeros((2, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = solve(spec, init=(zeros, zeros))
+    assert result.iterations == 1
+    assert result.clamp_fraction == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +280,21 @@ def test_simulate_decoupled_matches_euler_closed_form():
         np.testing.assert_allclose(path.states[n], expect, atol=1e-7)
         expect = expect + spec.h * dynamics(spec, expect, np.zeros(2))
     assert path.t[-1] == pytest.approx(200 * spec.h)
+
+
+def test_simulate_nine_players_matches_pointwise_evaluation():
+    J = 9
+    K = np.ones((J, J)) - J * np.eye(J)
+    spec = GameSpec(J=J, K=K, beta=1.0, phi=1.0, A=0.5, c=0.5, rho=0.1, h=1e-2,
+                    P_max=0.7, U_max=0.5, Np=1, Nu=1, tol=1e-6)
+    grid = build_state_grid(spec)
+    rng = np.random.default_rng(16)
+    policies = fit_policy(grid, PolicyField(values=rng.uniform(0.0, 0.5, (J, grid.n_nodes))))
+    path = simulate(spec, policies, rng.uniform(0.0, 0.7, J), 20)
+    for state, controls in zip(path.states, path.controls):
+        ref = 2.0 * state / spec.P_max - 1.0
+        expect = [eval_full(policies[i], ref) for i in range(J)]
+        np.testing.assert_allclose(controls, np.clip(expect, 0.0, spec.U_max), atol=1e-13)
 
 
 def test_simulate_rejects_out_of_box_start():
