@@ -2,7 +2,7 @@
 
 Uses a faster-discounting variant of the two-player layout so the demo
 finishes in seconds; the benchmark settings (h=1e-3, tol=1e-6) behave the
-same way, just with many more sweeps.
+same way, just with more sweeps.
 
 Run:  python demos/02_equilibrium_two_players.py
 """
@@ -20,9 +20,10 @@ print(f"discount rate {spec.rho}, step {spec.h}, per-step factor {spec.delta}")
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", RuntimeWarning)
     result = cn.solve(spec)
-print(f"\nconverged: {result.converged} after {result.iterations} sweeps "
+print(f"\nconverged: {result.converged} after {result.iterations} sweeps and "
+      f"{result.evaluations} exact policy evaluations "
       f"({result.timings['total']:.2f} s)")
-print(f"final value change per player: {result.history[-1]}")
+print(f"final Bellman residual per player: {result.history[-1]}")
 
 grid = cn.build_state_grid(spec)
 print("\nequilibrium emission at a few states (player 1):")

@@ -1,11 +1,12 @@
 """Tensorized Chebyshev collocation solver for discrete-space pollution games.
 
 The package computes Markov-perfect (feedback) Nash equilibria of a
-J-player linear-quadratic pollution game by discounted value iteration on
-a tensor-product Chebyshev collocation grid.  Each sweep evaluates the
+J-player linear-quadratic pollution game by safeguarded policy iteration
+on a tensor-product Chebyshev collocation grid.  Each sweep evaluates the
 affine drift in closed form and every player's value interpolant at all
 successor states in one batched contraction; the per-node work runs in
-blocks that never change the result.  A coefficient-space fixed point of
+blocks that never change the result.  Between sweeps the current joint
+policy is evaluated exactly, with one dense linear solve per player.  A coefficient-space fixed point of
 the same Bellman update serves as an exact oracle for the 2-player case.
 """
 

@@ -168,8 +168,9 @@ def cmd_solve(args) -> int:
         [iters] + [result.history[:, d] for d in range(spec.J)],
     )
     status = "converged" if result.converged else "not converged"
-    print(f"{status} after {result.iterations} sweeps "
-          f"(final change {result.history[-1].max():.3e}, "
+    print(f"{status} after {result.iterations} sweeps and "
+          f"{result.evaluations} policy evaluations, {result.rejected} rejected "
+          f"(final residual {result.history[-1].max():.3e}, "
           f"{result.timings['total']:.2f} s)")
     return 0 if result.converged else 3
 

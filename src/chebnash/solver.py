@@ -15,10 +15,19 @@ values.  One sweep performs, at every state node and for every player:
    iteration on its derivative;
 4. after all nodes are done, refit the state-space value interpolants.
 
+The driver (:func:`solve`) runs safeguarded policy iteration.  A sweep's
+best responses are the improvement step; the joint policy they form is
+then evaluated exactly (:func:`_evaluate_policy`, one dense linear solve
+per player), and the next sweep starts from those values.  A proposal
+whose sweep does not lower the Bellman residual is rejected: the driver
+resumes from the sweep that made it and takes 1, 2, 4, ... plain
+value-iteration steps before the next proposal.
+
 Work is scheduled in blocks of nodes (an exact factorisation
 N_b * N_f = N_P) that run one after another.  Every kernel on the block
-path performs a fixed per-node arithmetic sequence, so results are
-bitwise identical for every block plan.
+path performs a fixed per-node arithmetic sequence, and the policy
+evaluation always covers the whole grid, so results are bitwise identical
+for every block plan.
 
 Successor states are clamped to the state box before interpolation; the
 solver warns when more than 1% of the sampled successor components clamp,
@@ -103,10 +112,14 @@ class TimePath:
 
 @dataclass
 class EquilibriumResult:
-    """Outcome of the value iteration.
+    """Outcome of the policy iteration.
 
-    `history` holds one row per sweep with the per-player sup-norm of the
-    value change; `clamp_fraction` is the worst per-sweep share of sampled
+    `history` holds one row per sweep with the per-player Bellman residual
+    sup |T v - v| of the sweep's input values; `iterations` counts sweeps.
+    `evaluations` counts exact policy evaluations and `rejected` the
+    proposals that fell back to value iteration (a proposal whose sweep
+    did not lower the residual, or a singular or non-finite evaluation).
+    `clamp_fraction` is the worst per-sweep share of sampled
     successor-state components that hit the state box.
     """
 
@@ -117,6 +130,8 @@ class EquilibriumResult:
     history: np.ndarray
     timings: dict[str, float]
     clamp_fraction: float
+    evaluations: int
+    rejected: int
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +155,30 @@ class _PlayerWork:
 
     __slots__ = ("K", "u_nodes", "M0", "stage")
 
-    def __init__(self, spec: GameSpec, grid: StateGrid, i: int):
+    def __init__(self, spec: GameSpec, grid: StateGrid, i: int, M0: np.ndarray):
         self.K = int(spec.Nu[i]) + 1
         self.u_nodes = make_basis(int(spec.Nu[i]), 0.0, spec.U_max).nodes
-        self.M0 = _transform_matrix(int(spec.Nu[i]))
+        self.M0 = M0
         gain = self.u_nodes * (spec.A[i] - 0.5 * self.u_nodes)
         damage = 0.5 * spec.phi[i] * grid.nodes[:, i] ** 2
         self.stage = spec.h * (gain[None, :] - damage[:, None])
 
 
 class _Workspace:
-    __slots__ = ("spec", "grid", "u_scale", "p_scale", "players")
+    __slots__ = ("spec", "grid", "u_scale", "p_scale", "players", "transforms")
 
     def __init__(self, spec: GameSpec, grid: StateGrid):
         self.spec = spec
         self.grid = grid
         self.u_scale = 2.0 / spec.U_max
         self.p_scale = 2.0 / spec.P_max
-        self.players = [_PlayerWork(spec, grid, i) for i in range(spec.J)]
+        # One samples -> coefficients matrix per distinct degree, shared by
+        # the control fits and the state axes.
+        matrices = {d: _transform_matrix(d) for d in {*spec.Np.tolist(), *spec.Nu.tolist()}}
+        self.players = [
+            _PlayerWork(spec, grid, i, matrices[int(spec.Nu[i])]) for i in range(spec.J)
+        ]
+        self.transforms = [matrices[int(d)] for d in spec.Np]
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +345,27 @@ def _successor_values(coef: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.einsum("ql,ql->q", B, cur.reshape(-1, sizes[n - 1]))
 
 
+def _successor_points(
+    ws: _Workspace, i: int, sl: slice, policy_values: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Clamped Euler successors of player i's control nodes on a block.
+
+    The other players are held at `policy_values`.  Returns the successors
+    as (m*K, J) reference points, node-major, and the clamp count.  The
+    nodes keep a per-node axis so `dynamics` does one small product per
+    node, whose rounding cannot depend on the block size.
+    """
+    spec = ws.spec
+    pw = ws.players[i]
+    nodes = ws.grid.nodes[sl][:, None, :]                      # (m, 1, J)
+    u = np.repeat(policy_values[:, sl].T[:, None, :], pw.K, axis=1)
+    u[:, :, i] = pw.u_nodes                                    # (m, K, J)
+    nxt = nodes + spec.h * dynamics(spec, nodes, u)
+    clipped = np.clip(nxt, 0.0, spec.P_max)
+    n_clamped = int(np.count_nonzero(clipped != nxt))
+    return clipped.reshape(-1, spec.J) * ws.p_scale - 1.0, n_clamped
+
+
 def _best_response_block(
     ws: _Workspace,
     i: int,
@@ -337,19 +379,10 @@ def _best_response_block(
     spec = ws.spec
     pw = ws.players[i]
     m = sl.stop - sl.start
-    J = spec.J
 
     # Step 1: drift at the player's own control nodes, the others at their
-    # current controls, and the Euler successor states.  The nodes keep a
-    # per-node axis so `dynamics` does one small product per node, whose
-    # rounding cannot depend on the block size.
-    nodes = ws.grid.nodes[sl][:, None, :]                      # (m, 1, J)
-    u = np.repeat(policy_values[:, sl].T[:, None, :], pw.K, axis=1)
-    u[:, :, i] = pw.u_nodes                                    # (m, K, J)
-    nxt = nodes + spec.h * dynamics(spec, nodes, u)
-    clipped = np.clip(nxt, 0.0, spec.P_max)
-    n_clamped = int(np.count_nonzero(clipped != nxt))
-    pts = clipped.reshape(-1, J) * ws.p_scale - 1.0           # (m*K, J)
+    # current controls, and the Euler successor states.
+    pts, n_clamped = _successor_points(ws, i, sl, policy_values)
 
     # Step 2: discounted objective at the player's control nodes.
     v_next = _successor_values(value_coeffs[i], pts)
@@ -417,7 +450,43 @@ def bellman_sweep(
 
 
 # ---------------------------------------------------------------------------
-# fixed-point driver
+# exact policy evaluation
+# ---------------------------------------------------------------------------
+
+def _evaluate_policy(ws: _Workspace, policy_values: np.ndarray) -> np.ndarray:
+    """Node values (J, N_P) of the fixed point of the sweep at a fixed policy.
+
+    With every player's control held at `policy_values`, the sweep's value
+    at node n is the fitted objective at the player's own control,
+    delta * sum_k w_k (stage_k + V_i(successor_k)), where w holds the
+    control-interpolation weights of that control.  The successor value is
+    linear in the node values through the state cardinal functions, so
+    the fixed point solves (I - delta E_i) V_i = delta sum_k w_k stage_k,
+    one dense system per player over the whole grid.  Raises LinAlgError
+    when a system is singular.
+    """
+    spec = ws.spec
+    n = ws.grid.n_nodes
+    sizes = ws.grid.shape
+    out = np.empty((spec.J, n))
+    for i, pw in enumerate(ws.players):
+        pts, _ = _successor_points(ws, i, slice(0, n), policy_values)
+        # Cardinal functions of the state grid at every successor: the
+        # row-wise Kronecker product of the per-axis ones, axis 1 fastest
+        # to match the Fortran order of the node values.
+        card = np.ones((len(pts), 1))
+        for d in reversed(range(spec.J)):
+            C = _row_basis(pts[:, d], sizes[d]) @ ws.transforms[d]
+            card = (card[:, :, None] * C[:, None, :]).reshape(len(pts), -1)
+        w = _row_basis(policy_values[i] * ws.u_scale - 1.0, pw.K) @ pw.M0   # (n, K)
+        E = np.matmul(w[:, None, :], card.reshape(n, pw.K, n))[:, 0, :]
+        rhs = spec.delta * np.einsum("nk,nk->n", w, pw.stage)
+        out[i] = np.linalg.solve(np.eye(n) - spec.delta * E, rhs)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# policy-iteration driver
 # ---------------------------------------------------------------------------
 
 def _initial_fields(spec: GameSpec, grid: StateGrid, init) -> tuple[np.ndarray, np.ndarray]:
@@ -441,15 +510,25 @@ def solve(
     plan: BlockPlan | None = None,
     init=None,
 ) -> EquilibriumResult:
-    """Iterate best-response sweeps until the value change drops below tol.
+    """Safeguarded policy iteration to a Bellman residual of tol * (1 - delta).
+
+    Each pass runs one best-response sweep from the current (values,
+    policy) pair; its residual r = sup |T v - v| is one `history` row.
+    When max r <= tol * (1 - delta) the sweep's input pair is returned, so
+    its values lie within about tol of the collocation fixed point.  Otherwise
+    the sweep's policy is evaluated exactly and the next sweep starts from
+    the evaluated values.  The proposal is kept if that sweep's residual
+    is below r; if not, the driver resumes from the earlier sweep's output
+    and takes 1, 2, 4, ... value-iteration steps (the wait doubles after
+    every rejection) before proposing again.
 
     Parameters
     ----------
     spec : GameSpec
         Model and numerical parameters.
     plan : BlockPlan, optional
-        Work split (defaults to a single block).  Plans never change the
-        result, only the scheduling.
+        Work split of the sweeps (defaults to a single block).  Plans never
+        change the result, only the scheduling.
     init : pair, optional
         Initial (values, policy) as (J, N_P) arrays or field objects;
         defaults to zero values and the myopic policy u_i = A_i.
@@ -457,8 +536,10 @@ def solve(
     Returns
     -------
     EquilibriumResult
-        Non-convergence within max_iters is reported via the `converged`
-        flag rather than an exception, so partial runs can be recorded.
+        Non-convergence within max_iters sweeps is reported via the
+        `converged` flag rather than an exception, so partial runs can be
+        recorded; such a result holds the output of the last sweep, or of
+        the sweep before it when the last one rejected a proposal.
     """
     t_start = time.perf_counter()
     grid = build_state_grid(spec)
@@ -475,17 +556,49 @@ def solve(
     history = []
     clamp_fraction = 0.0
     converged = False
-    iterations = 0
+    iterations = evaluations = rejected = 0
+    stop_at = spec.tol * (1.0 - spec.delta)
+    wait = 1            # value-iteration steps after the next rejection
+    vi_left = 0         # value-iteration steps before the next proposal
+    fallback = None     # (Tv, u', residual) of the sweep before a proposal
     for iterations in range(1, spec.max_iters + 1):
         u_new, v_new, clamped = _run_sweep(ws, coeff_arrays, u_values, plan)
         clamp_fraction = max(clamp_fraction, clamped / targets_per_sweep)
         diffs = np.max(np.abs(v_new - v_values), axis=1)
         history.append(diffs)
-        v_values, u_values = v_new, u_new
-        tensors, coeff_arrays = _refit(ws, v_values)
-        if float(diffs.max()) < spec.tol:
+        residual = float(diffs.max())
+        if residual <= stop_at:
             converged = True
             break
+        if fallback is not None and residual >= fallback[2]:
+            # The proposal did not lower the residual: resume from the
+            # sweep that made it and wait longer before the next one.
+            v_values, u_values = fallback[0], fallback[1]
+            rejected += 1
+            vi_left, wait = wait, 2 * wait
+            fallback = None
+        else:
+            fallback = None
+            v_values, u_values = v_new, u_new
+            if vi_left:
+                vi_left -= 1
+            else:
+                evaluations += 1
+                try:
+                    proposal = _evaluate_policy(ws, u_values)
+                except np.linalg.LinAlgError:
+                    proposal = None
+                if proposal is not None and np.all(np.isfinite(proposal)):
+                    fallback = (v_values, u_values, residual)
+                    v_values = proposal
+                else:
+                    rejected += 1
+                    vi_left, wait = wait, 2 * wait
+        tensors, coeff_arrays = _refit(ws, v_values)
+    if fallback is not None and not converged:
+        # Report the last sweep's output, not the untested proposal.
+        v_values, u_values = fallback[0], fallback[1]
+        tensors, coeff_arrays = _refit(ws, v_values)
     if clamp_fraction > _CLAMP_WARN_FRACTION:
         warnings.warn(
             f"{clamp_fraction:.1%} of successor-state samples clamped to the state box; "
@@ -502,6 +615,8 @@ def solve(
         history=np.array(history).reshape(-1, spec.J),
         timings={"setup": t_setup, "sweeps": t_total - t_setup, "total": t_total},
         clamp_fraction=clamp_fraction,
+        evaluations=evaluations,
+        rejected=rejected,
     )
 
 

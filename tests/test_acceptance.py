@@ -33,9 +33,9 @@ def _solve_quiet(spec, **kw):
 def example1_reference():
     """Deeply converged example1 run (h=1e-3, tol=1e-8, degree 8).
 
-    Stopping at a value sup-change below tol leaves a constant-mode
-    truncation of about tol/(rho*h) in the reported values; tol = 1e-8
-    keeps that at 1e-4, an order below the value-consistency tolerance.
+    The solver stops when the Bellman residual is at most tol*(1-delta),
+    so the reported values lie within about tol = 1e-8 of the collocation
+    fixed point, far below the value-consistency tolerance.
     """
     spec = cn.preset_spec("example1", tol=1e-8)
     result = _solve_quiet(spec)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ FAST = ["--h", "0.01", "--tol", "1e-4", "--rho", "0.5", "--np", "2", "--nu", "2"
 
 
 def run_cli(args):
-    with pytest.warns(RuntimeWarning):
+    # Small example1 runs may clamp successors; the warning is not under test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         return main(args)
 
 
