@@ -4,10 +4,10 @@ The package computes Markov-perfect (feedback) Nash equilibria of a
 J-player linear-quadratic pollution game by safeguarded policy iteration
 on a tensor-product Chebyshev collocation grid.  Each sweep evaluates the
 affine drift in closed form and every player's value interpolant at all
-successor states in one batched contraction; the per-node work runs in
-blocks that never change the result.  Between sweeps the current joint
-policy is evaluated exactly, with one dense linear solve per player.  A coefficient-space fixed point of
-the same Bellman update serves as an exact oracle for the 2-player case.
+successor states of all nodes in one batched contraction.  Between sweeps
+the current joint policy is evaluated exactly, with one dense linear
+solve per player.  A coefficient-space fixed point of the same Bellman
+update serves as an exact oracle for the 2-player case.
 """
 
 from .cheb1d import (
@@ -39,7 +39,6 @@ from .game import (
 from .oracle import LQFeedback, lq_bellman_update, lq_solve, policy_error
 from .presets import preset_spec, spec_from_dict, spec_to_dict
 from .solver import (
-    BlockPlan,
     EquilibriumResult,
     PolicyField,
     TimePath,
@@ -47,7 +46,6 @@ from .solver import (
     bellman_sweep,
     fit_policy,
     newton_maximize,
-    partition,
     simulate,
     solve,
 )

@@ -1,4 +1,4 @@
-"""Command-line front end: solve, simulate, compare and bench-blocks.
+"""Command-line front end: solve, simulate and compare.
 
 Configuration is resolved in three layers: preset defaults, then an
 optional JSON config file, then command-line flags.  Every run writes a
@@ -22,7 +22,7 @@ import numpy as np
 from .game import GameSpec, build_state_grid
 from .oracle import lq_solve, policy_error
 from .presets import PRESET_NAMES, preset_spec, spec_from_dict, spec_to_dict
-from .solver import fit_policy, partition, simulate, solve
+from .solver import fit_policy, simulate, solve
 
 SCHEMA_VERSION = 1
 _FLOAT_FMT = "%.16e"
@@ -86,14 +86,11 @@ def _resolve_config(args) -> dict:
         "game": game,
         "p0": file_cfg.get("p0", [0.0] * int(game.get("J", 0))),
         "sim_horizon": file_cfg.get("sim_horizon", 20.0),
-        "blocks": file_cfg.get("blocks", 1),
     }
     if args.p0 is not None:
         cfg["p0"] = args.p0
     if args.sim_horizon is not None:
         cfg["sim_horizon"] = args.sim_horizon
-    if args.blocks is not None:
-        cfg["blocks"] = args.blocks
     return cfg
 
 
@@ -142,11 +139,7 @@ def cmd_solve(args) -> int:
     spec = _spec_from_config(cfg)
     out = _out_dir(args)
     grid = build_state_grid(spec)
-    try:
-        plan = partition(grid.n_nodes, int(cfg["blocks"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid block count {cfg['blocks']!r}: {exc}") from exc
-    result = solve(spec, plan=plan)
+    result = solve(spec)
     _write_run_json(out, cfg)
 
     idx = np.arange(grid.n_nodes)
@@ -199,7 +192,10 @@ def cmd_simulate(args) -> int:
 
     policies = fit_policy(grid, PolicyField(values=policy_values))
     p0 = np.asarray(cfg["p0"], dtype=float)
-    n_steps = int(round(float(cfg["sim_horizon"]) / spec.h))
+    horizon = float(cfg["sim_horizon"])
+    if not (np.isfinite(horizon) and horizon >= 0.0):
+        raise ConfigError(f"sim_horizon must be finite and non-negative, got {horizon}")
+    n_steps = int(round(horizon / spec.h))
     try:
         path = simulate(spec, policies, p0, n_steps)
     except ValueError as exc:
@@ -244,47 +240,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_bench_blocks(args) -> int:
-    cfg = _resolve_config(args)
-    spec = _spec_from_config(cfg)
-    out = _out_dir(args)
-    _write_run_json(out, cfg)
-    grid = build_state_grid(spec)
-    n = grid.n_nodes
-    if args.blocks is not None:
-        block_counts = [args.blocks] if isinstance(args.blocks, int) else list(args.blocks)
-    else:
-        block_counts = [k for k in range(1, n + 1) if n % k == 0]
-    reps = max(1, int(args.reps))
-    rows = []
-    for nb in block_counts:
-        try:
-            plan = partition(n, nb)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        samples = []
-        iterations = None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            result = solve(spec, plan=plan)
-            samples.append(time.perf_counter() - t0)
-            iterations = result.iterations
-        rows.append((nb, plan.block_size, float(np.median(samples))))
-        print(f"N_b={nb:5d}  N_f={plan.block_size:5d}  median {rows[-1][2]:.3f} s  "
-              f"({iterations} sweeps)")
-    _write_csv(
-        out / "blocks.csv",
-        ["n_b", "n_f", "wall_time", "repetitions"],
-        [
-            np.asarray([r[0] for r in rows], dtype=int),
-            np.asarray([r[1] for r in rows], dtype=int),
-            np.asarray([r[2] for r in rows]),
-            np.full(len(rows), reps, dtype=int),
-        ],
-    )
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -300,7 +255,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--rho", type=float, help="discount rate")
     p.add_argument("--pm", type=float, help="state upper bound P_max")
     p.add_argument("--um", type=float, help="control upper bound U_max")
-    p.add_argument("--blocks", type=int, help="number of blocks N_b")
     p.add_argument("--sim-horizon", type=float, dest="sim_horizon",
                    help="simulation horizon in time units")
     p.add_argument("--p0", type=_parse_floats, help="initial state, comma separated")
@@ -323,21 +277,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--np-list", type=_parse_ints, dest="np_list",
                        help="state degrees to sweep (default 2,4,8)")
     p_cmp.set_defaults(func=cmd_compare)
-    p_bench = sub.add_parser("bench-blocks", help="time the solver across block plans")
-    _add_common(p_bench)
-    p_bench.add_argument("--block-list", type=_parse_ints, dest="blocks_list",
-                         help="block counts to bench (default: all divisors)")
-    p_bench.add_argument("--reps", type=int, default=3, help="repetitions per plan")
-    p_bench.set_defaults(func=cmd_bench_blocks)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench-blocks":
-        # --block-list supersedes the single-plan --blocks for the bench
-        args.blocks = args.blocks_list if args.blocks_list is not None else args.blocks
     try:
         return args.func(args)
     except ConfigError as exc:

