@@ -28,6 +28,15 @@ def _vector(x, n: int, name: str) -> np.ndarray:
     return _freeze(arr)
 
 
+def _integral(x, name: str) -> np.ndarray:
+    """`x` as an int array; bools, strings and non-integral values fail."""
+    arr = np.asarray(x)
+    whole = arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.trunc(arr)))
+    if not (arr.dtype.kind in "iu" or whole):
+        raise ValueError(f"{name} must be integral, got {x!r}")
+    return arr.astype(int)
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """All model and numerical parameters of one game instance.
@@ -55,9 +64,10 @@ class GameSpec:
     m: np.ndarray = 1.0  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not isinstance(self.J, (int, np.integer)) or self.J < 2:
+        J = _integral(self.J, "J")
+        if J.ndim or J < 2:
             raise ValueError("need at least two players")
-        J = int(self.J)
+        J = int(J)
         object.__setattr__(self, "J", J)
         K = np.asarray(self.K, dtype=float)
         if K.shape != (J, J) or not np.all(np.isfinite(K)):
@@ -84,13 +94,14 @@ class GameSpec:
         if self.U_max < float(np.max(self.A)):
             raise ValueError("U_max must be at least max_i A_i")
         for name in ("Np", "Nu"):
-            deg = np.broadcast_to(np.asarray(getattr(self, name)), (J,)).astype(int)
+            deg = np.broadcast_to(_integral(getattr(self, name), name), (J,))
             if np.any(deg < 1):
                 raise ValueError(f"{name} degrees must be >= 1")
             object.__setattr__(self, name, _freeze(deg.copy()))
-        if int(self.max_iters) < 1:
+        max_iters = _integral(self.max_iters, "max_iters")
+        if max_iters.ndim or max_iters < 1:
             raise ValueError("max_iters must be positive")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
+        object.__setattr__(self, "max_iters", int(max_iters))
 
     @property
     def delta(self) -> float:

@@ -11,8 +11,10 @@ values.  One sweep performs, at every state node and for every player:
    batched, axis-by-axis contraction (:func:`_successor_values`) and form
    the candidate objective: stage gain plus discounted successor value;
 3. fit the one-dimensional Chebyshev interpolant of those samples and
-   maximise it over the control interval with a safeguarded Newton
-   iteration on its derivative;
+   maximise it over the control interval at its critical points: the
+   roots of its derivative, all rows' at once as the eigenvalues of
+   their colleague matrices, polished by two Newton steps and compared
+   with both endpoints (:func:`_maximise_block`);
 4. after all nodes are done, refit the state-space value interpolants.
 
 The driver (:func:`solve`) runs safeguarded policy iteration.  A sweep's
@@ -43,10 +45,6 @@ from .cheb1d import CoefVector, derivative_array, make_basis, reference_nodes
 from .chebnd import CoefTensor, _bind_diagonal, _bind_rows, _row_basis, tensor_coeffs
 from .game import GameSpec, StateGrid, build_state_grid, dynamics, step
 
-_NEWTON_MAX_ITER = 30
-_NEWTON_TOL = 1e-12
-_SCAN_POINTS = 257
-_BISECT_STEPS = 60
 _CLAMP_WARN_FRACTION = 0.01
 
 
@@ -150,112 +148,75 @@ class _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# safeguarded Newton maximisation (reference variable)
+# maximisation at the critical points (reference variable)
 # ---------------------------------------------------------------------------
 
 def _clenshaw_last(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Clenshaw evaluation of rows of (m, L) coefficients at points (m,)."""
+    """Clenshaw evaluation of rows of (m, L) coefficients at points (m, C)."""
     n = c.shape[1] - 1
     if n == 0:
-        return c[:, 0].copy()
+        return np.broadcast_to(c[:, :1], x.shape).copy()
     x2 = 2.0 * x
     b1 = np.zeros_like(x)
     b2 = np.zeros_like(x)
     for k in range(n, 0, -1):
-        b1, b2 = c[:, k] + x2 * b1 - b2, b1
-    return c[:, 0] + x * b1 - b2
+        b1, b2 = c[:, k, None] + x2 * b1 - b2, b1
+    return c[:, :1] + x * b1 - b2
 
 
-def _scan_refine(coef: np.ndarray, q1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense-scan fallback: 257-point grid plus 60 bisection steps on f'."""
-    m = coef.shape[0]
-    xs = np.linspace(-1.0, 1.0, _SCAN_POINTS)
-    vals = _clenshaw_last(
-        np.repeat(coef, xs.size, axis=0),
-        np.tile(xs, m),
-    ).reshape(m, xs.size)
-    best = np.argmax(vals, axis=1)
-    x_scan = xs[best]
-    lo = xs[np.maximum(best - 1, 0)]
-    hi = xs[np.minimum(best + 1, xs.size - 1)]
-    s_lo = np.sign(_clenshaw_last(q1, lo))
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        same = np.sign(_clenshaw_last(q1, mid)) == s_lo
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    x_ref = 0.5 * (lo + hi)
-    better = _clenshaw_last(coef, x_ref) >= vals[np.arange(m), best]
-    return np.where(better, x_ref, x_scan), x_scan
+def _colleague_roots(q: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of rows of (m, n+1) Chebyshev series, n >= 1.
+
+    The roots are the eigenvalues of each row's n x n colleague matrix
+    (Good 1961), in the scaled upper Hessenberg form of numpy's
+    `chebcompanion`, all found by one batched eigensolve.  A leading
+    coefficient within rounding of zero is replaced by that rounding
+    level, which keeps every entry finite; the extra roots this adds are
+    large and only add candidates.
+    """
+    m, n = q.shape[0], q.shape[1] - 1
+    floor = np.finfo(float).eps * np.abs(q).max(axis=1) + np.finfo(float).tiny
+    lead = np.where(np.abs(q[:, -1]) > floor, q[:, -1], floor)
+    C = np.zeros((m, n, n))
+    k = np.arange(n - 1)
+    C[:, k, k + 1] = C[:, k + 1, k] = 0.5
+    C[:, 0, 1:2] = C[:, 1:2, 0] = np.sqrt(0.5)
+    weight = np.full(n, 0.5)
+    # x T_0 = T_1 carries no factor 1/2, so a linear series needs 1.
+    weight[0] = np.sqrt(0.5) if n > 1 else 1.0
+    C[:, :, -1] -= weight * q[:, :-1] / lead[:, None]
+    return np.linalg.eigvals(C).real
 
 
 def _maximise_block(
-    coef: np.ndarray, x0: np.ndarray, always_scan: bool = False
+    coef: np.ndarray, extra: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Maximise rows of (m, L) interpolants over [-1, 1].
+    """Global maximum of each row of (m, L) interpolants over [-1, 1].
 
-    Runs a projected Newton iteration on the derivative from the warm
-    start, compares the result against both endpoints, and falls back to
-    a dense scan with bisection refinement for rows where Newton failed
-    (no convergence, vanishing curvature, an iterate leaving the box, or
-    a non-concave landing point).  `always_scan` adds the scan candidate
-    for every row regardless of Newton's outcome.  Every operation is
-    element-wise per row.
+    The candidates are the real parts of all roots of the derivative,
+    clipped to [-1, 1] and polished by two Newton steps on the derivative,
+    both endpoints and the optional (m, k) `extra` points.  Returns the
+    best candidate of each row and the interpolant there.
     """
     m, L = coef.shape
-    alt = np.ones(L)
-    alt[1::2] = -1.0
-    f_hi = coef.sum(axis=1)
-    f_lo = (coef * alt).sum(axis=1)
-    if L <= 2:
-        take_hi = f_hi >= f_lo
-        return np.where(take_hi, 1.0, -1.0), np.maximum(f_hi, f_lo)
-
-    q1 = derivative_array(coef)
-    q2 = derivative_array(q1)
-    x = np.clip(x0, -1.0, 1.0).astype(float).copy()
-    moving = np.ones(m, dtype=bool)
-    failed = np.zeros(m, dtype=bool)
-    for _ in range(_NEWTON_MAX_ITER):
-        f1 = _clenshaw_last(q1, x)
-        f2 = _clenshaw_last(q2, x)
-        tiny = np.abs(f2) <= 1e-300
-        raw = x - f1 / np.where(tiny, 1.0, f2)
-        xn = np.clip(raw, -1.0, 1.0)
-        left_box = moving & ~tiny & (raw != xn)
-        failed |= left_box | (moving & tiny)
-        moving &= ~tiny
-        apply = moving
-        dx = np.abs(xn - x)
-        x = np.where(apply, xn, x)
-        moving = apply & (dx > _NEWTON_TOL)
-        if not moving.any():
-            break
-    failed |= moving
-    failed |= _clenshaw_last(q2, x) >= 0.0
-    if always_scan:
-        failed |= True
-
-    f_x = _clenshaw_last(coef, x)
-    best_x = x
-    best_f = f_x
-    for cand_x, cand_f in ((-1.0, f_lo), (1.0, f_hi)):
-        upd = cand_f > best_f
-        best_x = np.where(upd, cand_x, best_x)
-        best_f = np.where(upd, cand_f, best_f)
-    if failed.any():
-        idx = np.flatnonzero(failed)
-        x_fb, x_scan = _scan_refine(coef[idx], q1[idx])
-        for cand_x in (x_fb, x_scan):
-            cand_f = _clenshaw_last(coef[idx], cand_x)
-            upd = cand_f > best_f[idx]
-            bx = best_x[idx]
-            bf = best_f[idx]
-            bx[upd] = cand_x[upd]
-            bf[upd] = cand_f[upd]
-            best_x[idx] = bx
-            best_f[idx] = bf
-    return best_x, best_f
+    ends = np.broadcast_to([-1.0, 1.0], (m, 2))
+    cands = [ends] if extra is None else [ends, extra]
+    if L > 2:
+        q1 = derivative_array(coef)
+        q2 = derivative_array(q1)
+        x = np.clip(_colleague_roots(q1), -1.0, 1.0)
+        for _ in range(2):
+            f1 = _clenshaw_last(q1, x)
+            f2 = _clenshaw_last(q2, x)
+            # A step longer than the interval could only reach an endpoint.
+            short = np.abs(f1) < 2.0 * np.abs(f2)
+            step = np.divide(f1, f2, out=np.zeros_like(f1), where=short)
+            x = np.clip(x - step, -1.0, 1.0)
+        cands.append(x)
+    x = np.concatenate(cands, axis=1)
+    f = _clenshaw_last(coef, x)
+    best = np.argmax(f, axis=1)[:, None]
+    return np.take_along_axis(x, best, 1)[:, 0], np.take_along_axis(f, best, 1)[:, 0]
 
 
 def newton_maximize(coeffs: CoefVector, u0: float) -> tuple[float, float]:
@@ -267,22 +228,19 @@ def newton_maximize(coeffs: CoefVector, u0: float) -> tuple[float, float]:
         Objective interpolant on an interval [a, b] (the control interval
         [0, U_max] in the solver).
     u0 : float
-        Warm start in interval units.
+        A point in interval units, taken as one more candidate.
 
     Returns
     -------
     (u_star, value)
         Maximising abscissa in interval units and the interpolant value
-        there; never below any candidate (Newton point, both endpoints,
-        dense scan with bisection refinement) by more than 1e-12.  The
-        scan candidate is always evaluated here, so the result is the
-        global maximum of the interpolant up to that resolution even on
-        multimodal inputs.
+        there: the global maximum up to rounding, found among the
+        polished critical points, both endpoints and `u0`.
     """
     basis = coeffs.basis
     x0 = (2.0 * float(u0) - (basis.a + basis.b)) / (basis.b - basis.a)
     coef = coeffs.coefficients[None, :]
-    x, f = _maximise_block(coef, np.array([x0]), always_scan=True)
+    x, f = _maximise_block(coef, np.array([[np.clip(x0, -1.0, 1.0)]]))
     u = 0.5 * (basis.b - basis.a) * float(x[0]) + 0.5 * (basis.a + basis.b)
     return u, float(f[0])
 
@@ -354,8 +312,7 @@ def _best_response_block(
 
     # Steps 3-4: fit in the own control and maximise.
     coef = np.matmul(pw.M0, objective[:, :, None])[:, :, 0]
-    x0 = policy_values[i] * ws.u_scale - 1.0
-    x_best, f_best = _maximise_block(coef, x0)
+    x_best, f_best = _maximise_block(coef)
     return (x_best + 1.0) * (0.5 * spec.U_max), f_best, n_clamped
 
 

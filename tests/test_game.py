@@ -55,6 +55,22 @@ def test_scalar_parameters_broadcast():
     np.testing.assert_array_equal(spec.m, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("Np", 2.7), ("Nu", 3.9), ("Nu", [2, 3.5]), ("max_iters", 2.5),
+    ("Np", True), ("max_iters", True), ("J", True), ("Np", "3"),
+])
+def test_rejects_non_integral_sizes(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be integral"):
+        example1(**{field: value})
+
+
+def test_integral_sizes_of_any_integer_type_accepted():
+    spec = example1(Np=np.int64(3), Nu=3.0, max_iters=np.uint16(40))
+    np.testing.assert_array_equal(spec.Np, [3, 3])
+    np.testing.assert_array_equal(spec.Nu, [3, 3])
+    assert spec.max_iters == 40 and type(spec.max_iters) is int
+
+
 # ---------------------------------------------------------------------------
 # state grid
 # ---------------------------------------------------------------------------

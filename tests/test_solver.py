@@ -1,17 +1,25 @@
-"""Unit tests for the collocation solver: sweeps, Newton, simulation."""
+"""Unit tests for the collocation solver: the maximiser, sweeps, simulation."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from chebnash.cheb1d import CoefVector, coeffs_from_samples, make_basis
+from chebnash.cheb1d import (
+    CoefVector,
+    clenshaw,
+    coeffs_from_samples,
+    derivative_array,
+    make_basis,
+)
 from chebnash.chebnd import eval_full
 from chebnash.game import GameSpec, build_state_grid, discounted_payoff, dynamics
 from chebnash.presets import preset_spec
 from chebnash.solver import (
     PolicyField,
     ValueField,
+    _colleague_roots,
+    _maximise_block,
     bellman_sweep,
     fit_policy,
     newton_maximize,
@@ -34,7 +42,7 @@ def solve_quiet(spec, **kw):
 
 
 # ---------------------------------------------------------------------------
-# newton_maximize
+# maximiser
 # ---------------------------------------------------------------------------
 
 def _fit_objective(fn, degree, hi):
@@ -64,11 +72,55 @@ def test_newton_matches_dense_grid_scan():
         coef = CoefVector(rng.standard_normal(7), basis)
         u, val = newton_maximize(coef, 0.5)
         ref = (2.0 * xs - 1.0)
-        from chebnash.cheb1d import clenshaw
-
         scan = clenshaw(coef.coefficients, ref)
         assert val >= scan.max() - 1e-6
         assert val == pytest.approx(scan.max(), abs=1e-6)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_sweep_maximiser_finds_global_maximum_of_multimodal_rows(degree):
+    rng = np.random.default_rng(100 + degree)
+    coef = rng.standard_normal((40, degree + 1))
+    x, f = _maximise_block(coef)
+    xs = np.linspace(-1.0, 1.0, 200_001)
+    for row, xr, fr in zip(coef, x, f):
+        assert -1.0 <= xr <= 1.0
+        assert fr == clenshaw(row, xr)
+        assert fr >= clenshaw(row, xs).max() - 1e-9
+
+
+def test_parabola_with_zeroed_top_coefficients():
+    c = _fit_objective(lambda u: u * (0.5 - u / 2), 8, 1.0)
+    coef = c.coefficients.copy()
+    coef[3:] = 0.0
+    assert derivative_array(coef)[-1] == 0.0
+    assert np.all(np.isfinite(_colleague_roots(derivative_array(coef)[None, :])))
+    u, val = newton_maximize(CoefVector(coef, c.basis), 0.9)
+    assert u == pytest.approx(0.5, abs=1e-12)
+    assert val == pytest.approx(0.125, abs=1e-12)
+
+
+def test_constant_row_returns_its_value():
+    coef = np.zeros((3, 9))
+    coef[:, 0] = [-1.5, 0.0, 2.0]
+    x, f = _maximise_block(coef)
+    assert np.all(np.abs(x) <= 1.0)
+    np.testing.assert_array_equal(f, coef[:, 0])
+
+
+def test_maximum_at_each_endpoint():
+    # 2x^2 - 1 -/+ 0.3x: a minimum inside, the larger end on either side
+    coef = np.array([[0.0, -0.3, 1.0, 0.0, 0.0], [0.0, 0.3, 1.0, 0.0, 0.0]])
+    x, f = _maximise_block(coef)
+    np.testing.assert_array_equal(x, [-1.0, 1.0])
+    np.testing.assert_allclose(f, [1.3, 1.3], rtol=1e-15)
+
+
+def test_linear_rows_take_the_higher_end():
+    coef = np.array([[0.2, 0.5], [0.2, -0.5], [0.2, 0.0]])
+    x, f = _maximise_block(coef)
+    np.testing.assert_array_equal(x[:2], [1.0, -1.0])
+    np.testing.assert_allclose(f, [0.7, 0.7, 0.2])
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +266,17 @@ def test_restart_from_converged_fields_stops_immediately():
     assert first.converged
     again = solve_quiet(spec, init=(first.values, first.policy))
     assert again.converged and again.iterations <= 2
+
+
+def test_repeated_solves_are_bitwise_equal():
+    spec = preset_spec("example1", Np=4, Nu=4, h=1e-2)
+    first, second = solve_quiet(spec), solve_quiet(spec)
+    for a, b in [(first.values.values, second.values.values),
+                 (first.policy.values, second.policy.values),
+                 (first.history, second.history)]:
+        np.testing.assert_array_equal(a, b)
+    assert (first.iterations, first.evaluations, first.rejected) == (
+        second.iterations, second.evaluations, second.rejected)
 
 
 @pytest.mark.parametrize("field", ["values", "policy"])
