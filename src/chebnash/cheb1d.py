@@ -2,10 +2,10 @@
 
 Nodes are the extrema of the degree-N Chebyshev polynomial mapped affinely
 to an interval [a, b] and stored in descending order (node 0 is b, node N
-is a).  Coefficients are obtained by a real FFT of the even extension of
-the sample vector, which reproduces the classical discrete cosine-transform
-formula with halved first and last summands.  Evaluation uses the Clenshaw
-backward recurrence and derivatives are taken in coefficient space.
+is a).  Coefficients are the classical discrete cosine-transform sums
+with halved first and last summands, applied as one matrix
+(:func:`_transform_matrix`).  Evaluation uses the Clenshaw backward
+recurrence and derivatives are taken in coefficient space.
 
 All functions here work in the reference variable x in [-1, 1]; use
 :func:`to_reference` / :func:`from_reference` to move between an interval
@@ -135,13 +135,29 @@ def clamp_reference(x, tol: float = CLAMP_TOL):
     return np.clip(x, -1.0, 1.0)
 
 
+def _transform_matrix(n: int) -> np.ndarray:
+    """Samples -> coefficients matrix of degree n, shape (n+1, n+1).
+
+    Entry (l, k) is s_l w_k cos(pi l k / n), where w halves the first and
+    last samples and s_l = 2 w_l / n.  Reducing l k modulo 2n keeps each
+    entry within about one rounding of its exact value.
+    """
+    if n == 0:
+        return np.ones((1, 1))
+    k = np.arange(n + 1)
+    w = np.ones(n + 1)
+    w[0] = w[-1] = 0.5
+    s = 2.0 * w / n
+    return s[:, None] * w[None, :] * np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n)
+
+
 def cheb_transform(values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Samples at Chebyshev nodes -> interpolation coefficients, along one axis.
 
-    The transform mirrors the sample vector into its even extension and takes
-    a real FFT; entry l of the result is the coefficient of T_l.  It agrees
-    with the direct cosine sum that halves the first and last samples and
-    uses weight 1/N for l in {0, N} and 2/N otherwise.
+    Applies the matrix of :func:`_transform_matrix` along `axis`: entry l
+    of the result is the coefficient of T_l, the direct cosine sum that
+    halves the first and last samples and uses weight 1/N for l in {0, N}
+    and 2/N otherwise.
 
     Parameters
     ----------
@@ -160,14 +176,7 @@ def cheb_transform(values: np.ndarray, axis: int = 0) -> np.ndarray:
     n = v.shape[axis] - 1
     if n < 0:
         raise ValueError("need at least one sample")
-    if n == 0:
-        return v.copy()
-    v = np.moveaxis(v, axis, 0)
-    ext = np.concatenate([v, v[-2:0:-1]], axis=0)
-    y = np.fft.rfft(ext, axis=0).real / n
-    y[0] *= 0.5
-    y[-1] *= 0.5
-    return np.moveaxis(y, 0, axis)
+    return np.moveaxis(np.tensordot(_transform_matrix(n), v, axes=(1, axis)), 0, axis)
 
 
 def coeffs_from_samples(samples, basis: ChebBasis1D) -> CoefVector:

@@ -8,11 +8,11 @@ the axes rotate so the next dimension becomes leading.
 
 :func:`eval_axis` binds the leading variable of one tensor at a shared
 list of points.  The private kernels below it are the building blocks of
-the solver's batched evaluation of one interpolant at many points:
-:func:`_bind_rows` binds the leading variable at every point against
-shared coefficients, and :func:`_bind_diagonal` binds, for M partially
-bound polynomials, the leading variable of polynomial j at its own
-point x_j.  Both perform a fixed arithmetic sequence per point, so a
+the solver's batched evaluation of one interpolant at many points, from
+coefficients or from node values: :func:`_bind_rows` binds the leading
+axis at every point against a shared tensor, and :func:`_bind_diagonal`
+binds, for M partially bound tensors, the leading axis of tensor j with
+its own row j.  Both perform a fixed arithmetic sequence per point, so a
 result does not depend on how many points share a call.
 """
 
@@ -52,26 +52,23 @@ class CoefTensor:
 def basis_matrix(points, degree: int) -> np.ndarray:
     """Rows of Chebyshev values: B[j, l] = T_l(points[j]), l = 0..degree.
 
-    Built column by column with the three-term recurrence
-    T_{l+1} = 2 x T_l - T_{l-1}; no trigonometric calls.
+    Points up to `CLAMP_TOL` outside [-1, 1] are clamped; farther out, or
+    a list that is empty or not one-dimensional, raises ValueError.
     """
     x = clamp_reference(points)
     if x.ndim != 1:
         raise ValueError("points must be one-dimensional")
     if x.size == 0:
         raise ValueError("empty point list")
-    out = np.empty((x.size, degree + 1))
-    out[:, 0] = 1.0
-    if degree >= 1:
-        out[:, 1] = x
-    x2 = 2.0 * x
-    for l in range(2, degree + 1):
-        out[:, l] = x2 * out[:, l - 1] - out[:, l - 2]
-    return out
+    return _row_basis(x, degree + 1)
 
 
 def _row_basis(points: np.ndarray, size: int) -> np.ndarray:
-    """basis_matrix without validation, for pre-clamped reference points."""
+    """Chebyshev values T_0..T_{size-1} at pre-clamped reference points.
+
+    Built column by column with the three-term recurrence
+    T_{l+1} = 2 x T_l - T_{l-1}; no trigonometric calls.
+    """
     out = np.empty((points.size, size))
     out[:, 0] = 1.0
     if size > 1:

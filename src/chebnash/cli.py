@@ -174,7 +174,12 @@ def cmd_simulate(args) -> int:
     policy_file = out / "policy.csv"
     if not run_file.exists() or not policy_file.exists():
         raise ConfigError(f"no solved policy in {out}; run 'solve' first")
-    cfg = json.loads(run_file.read_text())
+    try:
+        cfg = json.loads(run_file.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read {run_file}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{run_file} must hold a JSON object")
     if args.p0 is not None:
         cfg["p0"] = args.p0
     if args.sim_horizon is not None:
@@ -182,7 +187,13 @@ def cmd_simulate(args) -> int:
     spec = _spec_from_config(cfg)
     grid = build_state_grid(spec)
 
-    table = np.genfromtxt(policy_file, delimiter=",", names=True)
+    try:
+        table = np.genfromtxt(policy_file, delimiter=",", names=True)
+    except (ValueError, IndexError) as exc:     # IndexError: an empty file
+        raise ConfigError(f"cannot read {policy_file}: {exc}") from exc
+    missing = [f"u_{d+1}" for d in range(spec.J) if f"u_{d+1}" not in (table.dtype.names or ())]
+    if missing:
+        raise ConfigError(f"{policy_file} lacks column(s) {', '.join(missing)}")
     policy_values = np.stack(
         [np.atleast_1d(table[f"u_{d+1}"]) for d in range(spec.J)], axis=0
     )

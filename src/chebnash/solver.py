@@ -1,21 +1,21 @@
 """Collocation solver for the feedback equilibrium of the pollution game.
 
 The iteration keeps, for every player, the node values of the value
-function together with its state-space interpolant and the current policy
-values.  One sweep performs, at every state node and for every player:
+function and the current policy values.  One sweep performs, at every
+state node and for every player:
 
 1. evaluate the affine drift g(p, u) in closed form at the player's
    control nodes, the other players held at their current policy values,
    and take the Euler successor states;
 2. evaluate the player's value interpolant at all successor states in one
-   batched, axis-by-axis contraction (:func:`_successor_values`) and form
-   the candidate objective: stage gain plus discounted successor value;
+   batched, axis-by-axis contraction of the grid's cardinal functions
+   (:func:`_cardinal_rows`) with the node values, and form the candidate
+   objective: stage gain plus discounted successor value;
 3. fit the one-dimensional Chebyshev interpolant of those samples and
    maximise it over the control interval at its critical points: the
    roots of its derivative, all rows' at once as the eigenvalues of
    their colleague matrices, polished by two Newton steps and compared
-   with both endpoints (:func:`_maximise_block`);
-4. after all nodes are done, refit the state-space value interpolants.
+   with both endpoints (:func:`_maximise_block`).
 
 The driver (:func:`solve`) runs safeguarded policy iteration.  A sweep's
 best responses are the improvement step; the joint policy they form is
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cheb1d import CoefVector, derivative_array, make_basis, reference_nodes
+from .cheb1d import CoefVector, _transform_matrix, clenshaw, derivative_array, make_basis
 from .chebnd import CoefTensor, _bind_diagonal, _bind_rows, _row_basis, tensor_coeffs
 from .game import GameSpec, StateGrid, build_state_grid, dynamics, step
 
@@ -54,7 +54,10 @@ _CLAMP_WARN_FRACTION = 0.01
 
 @dataclass
 class ValueField:
-    """Per-player value node values (J, N_P) and state-space interpolants."""
+    """Per-player value node values (J, N_P) and state-space interpolants.
+
+    The solver reads only `values`; it fits `interpolants` for its results.
+    """
 
     values: np.ndarray
     interpolants: list[CoefTensor]
@@ -104,18 +107,6 @@ class EquilibriumResult:
 # per-player constants
 # ---------------------------------------------------------------------------
 
-def _transform_matrix(degree: int) -> np.ndarray:
-    """Matrix form of the 1-D node-samples -> coefficients transform."""
-    n = degree
-    size = n + 1
-    B = _row_basis(reference_nodes(n), size)
-    w = np.ones(size)
-    w[0] = w[-1] = 0.5
-    s = np.full(size, 2.0 / n)
-    s[0] = s[-1] = 1.0 / n
-    return s[:, None] * (B.T * w[None, :])
-
-
 class _PlayerWork:
     """Per-player constants: own control nodes, fit matrix and stage table."""
 
@@ -150,19 +141,6 @@ class _Workspace:
 # ---------------------------------------------------------------------------
 # maximisation at the critical points (reference variable)
 # ---------------------------------------------------------------------------
-
-def _clenshaw_last(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Clenshaw evaluation of rows of (m, L) coefficients at points (m, C)."""
-    n = c.shape[1] - 1
-    if n == 0:
-        return np.broadcast_to(c[:, :1], x.shape).copy()
-    x2 = 2.0 * x
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for k in range(n, 0, -1):
-        b1, b2 = c[:, k, None] + x2 * b1 - b2, b1
-    return c[:, :1] + x * b1 - b2
-
 
 def _colleague_roots(q: np.ndarray) -> np.ndarray:
     """Real parts of the roots of rows of (m, n+1) Chebyshev series, n >= 1.
@@ -206,15 +184,15 @@ def _maximise_block(
         q2 = derivative_array(q1)
         x = np.clip(_colleague_roots(q1), -1.0, 1.0)
         for _ in range(2):
-            f1 = _clenshaw_last(q1, x)
-            f2 = _clenshaw_last(q2, x)
+            f1 = clenshaw(q1.T[:, :, None], x)
+            f2 = clenshaw(q2.T[:, :, None], x)
             # A step longer than the interval could only reach an endpoint.
             short = np.abs(f1) < 2.0 * np.abs(f2)
             step = np.divide(f1, f2, out=np.zeros_like(f1), where=short)
             x = np.clip(x - step, -1.0, 1.0)
         cands.append(x)
     x = np.concatenate(cands, axis=1)
-    f = _clenshaw_last(coef, x)
+    f = clenshaw(coef.T[:, :, None], x)
     best = np.argmax(f, axis=1)[:, None]
     return np.take_along_axis(x, best, 1)[:, 0], np.take_along_axis(f, best, 1)[:, 0]
 
@@ -249,24 +227,30 @@ def newton_maximize(coeffs: CoefVector, u0: float) -> tuple[float, float]:
 # one sweep
 # ---------------------------------------------------------------------------
 
-def _successor_values(coef: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Tensor interpolant with coefficient array `coef` at each row of `pts`.
+def _cardinal_rows(ws: _Workspace, pts: np.ndarray) -> list[np.ndarray]:
+    """Per-axis cardinal functions of the state grid at (P, J) reference points.
 
-    `pts` holds P reference points of len(coef.shape) >= 2 coordinates.
-    The leading variable is bound at all points at once against the shared
-    coefficients, every further variable row by row (point q binds its own
-    coordinate in its own partially bound polynomial), and the last one
-    collapses to one value per point.
+    Entry d is (P, Np_d + 1): Chebyshev values times the samples ->
+    coefficients matrix of axis d.
     """
-    sizes = coef.shape
+    return [_row_basis(pts[:, d], M.shape[0]) @ M for d, M in enumerate(ws.transforms)]
+
+
+def _successor_values(rows: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
+    """Contract per-axis rows (P, tensor.shape[d]) with a tensor: (P,) values.
+
+    Chebyshev rows with coefficients, or cardinal rows with the node
+    values, give an interpolant at P points.  The leading axis is bound at
+    all points at once against the shared tensor, every further axis row
+    by row (point q binds its own row in its own partially bound tensor),
+    and the last one collapses to one value per point.
+    """
+    sizes = tensor.shape
     n = len(sizes)
-    B = _row_basis(pts[:, 0], sizes[0])
-    cur = _bind_rows(B, coef.reshape(sizes[0], -1))
+    cur = _bind_rows(rows[0], tensor.reshape(sizes[0], -1))
     for d in range(1, n - 1):
-        B = _row_basis(pts[:, d], sizes[d])
-        cur = _bind_diagonal(B, cur.reshape(-1, sizes[d], cur.shape[1] // sizes[d]))
-    B = _row_basis(pts[:, n - 1], sizes[n - 1])
-    return np.einsum("ql,ql->q", B, cur.reshape(-1, sizes[n - 1]))
+        cur = _bind_diagonal(rows[d], cur.reshape(-1, sizes[d], cur.shape[1] // sizes[d]))
+    return np.einsum("ql,ql->q", rows[n - 1], cur.reshape(-1, sizes[n - 1]))
 
 
 def _successor_points(
@@ -293,7 +277,7 @@ def _successor_points(
 def _best_response_block(
     ws: _Workspace,
     i: int,
-    value_coeffs: list[np.ndarray],
+    node_values: np.ndarray,
     policy_values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Best response of player i at every node: (controls, values, clamp count)."""
@@ -305,12 +289,13 @@ def _best_response_block(
     pts, n_clamped = _successor_points(ws, i, policy_values)
 
     # Step 2: discounted objective at the player's control nodes.
-    v_next = _successor_values(value_coeffs[i], pts)
+    tensor = node_values[i].reshape(ws.grid.shape, order="F")
+    v_next = _successor_values(_cardinal_rows(ws, pts), tensor)
     objective = spec.delta * (pw.stage + v_next.reshape(-1, pw.K))
     if not np.all(np.isfinite(objective)):
         raise FloatingPointError("non-finite objective sample in sweep")
 
-    # Steps 3-4: fit in the own control and maximise.
+    # Step 3: fit in the own control and maximise.
     coef = np.matmul(pw.M0, objective[:, :, None])[:, :, 0]
     x_best, f_best = _maximise_block(coef)
     return (x_best + 1.0) * (0.5 * spec.U_max), f_best, n_clamped
@@ -318,24 +303,13 @@ def _best_response_block(
 
 def _run_sweep(
     ws: _Workspace,
-    value_coeffs: list[np.ndarray],
+    node_values: np.ndarray,
     policy_values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     us, vs, clamps = zip(*(
-        _best_response_block(ws, i, value_coeffs, policy_values) for i in range(ws.spec.J)
+        _best_response_block(ws, i, node_values, policy_values) for i in range(ws.spec.J)
     ))
     return np.stack(us), np.stack(vs), sum(clamps)
-
-
-def _refit(ws: _Workspace, node_values: np.ndarray) -> tuple[list[CoefTensor], list[np.ndarray]]:
-    tensors = []
-    arrays = []
-    shape = ws.grid.shape
-    for i in range(ws.spec.J):
-        t = tensor_coeffs(node_values[i].reshape(shape, order="F"), ws.grid.bases)
-        tensors.append(t)
-        arrays.append(t.coefficients)
-    return tensors, arrays
 
 
 def bellman_sweep(
@@ -346,13 +320,13 @@ def bellman_sweep(
 ) -> tuple[ValueField, PolicyField]:
     """One synchronous best-response sweep over all players and nodes.
 
-    All players respond to the iteration-r fields.
+    All players respond to the iteration-r fields; of `values` the sweep
+    reads only the node values `values.values`.
     """
     ws = _Workspace(spec, grid)
-    coeff_arrays = [t.coefficients for t in values.interpolants]
-    u_new, v_new, _ = _run_sweep(ws, coeff_arrays, policy.values)
-    tensors, _ = _refit(ws, v_new)
-    return ValueField(values=v_new, interpolants=tensors), PolicyField(values=u_new)
+    u_new, v_new, _ = _run_sweep(ws, values.values, policy.values)
+    values = ValueField(values=v_new, interpolants=_interpolants(grid, v_new))
+    return values, PolicyField(values=u_new)
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +347,14 @@ def _evaluate_policy(ws: _Workspace, policy_values: np.ndarray) -> np.ndarray:
     """
     spec = ws.spec
     n = ws.grid.n_nodes
-    sizes = ws.grid.shape
     out = np.empty((spec.J, n))
     for i, pw in enumerate(ws.players):
         pts, _ = _successor_points(ws, i, policy_values)
         # Cardinal functions of the state grid at every successor: the
-        # row-wise Kronecker product of the per-axis ones, axis 1 fastest
-        # to match the Fortran order of the node values.
+        # row-wise Kronecker product of the sweep's per-axis rows, axis 1
+        # fastest to match the Fortran order of the node values.
         card = np.ones((len(pts), 1))
-        for d in reversed(range(spec.J)):
-            C = _row_basis(pts[:, d], sizes[d]) @ ws.transforms[d]
+        for C in reversed(_cardinal_rows(ws, pts)):
             card = (card[:, :, None] * C[:, None, :]).reshape(len(pts), -1)
         w = _row_basis(policy_values[i] * ws.u_scale - 1.0, pw.K) @ pw.M0   # (n, K)
         E = np.matmul(w[:, None, :], card.reshape(n, pw.K, n))[:, 0, :]
@@ -447,7 +419,6 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     ws = _Workspace(spec, grid)
     n = grid.n_nodes
     v_values, u_values = _initial_fields(spec, grid, init)
-    tensors, coeff_arrays = _refit(ws, v_values)
     targets_per_sweep = n * sum(pw.K for pw in ws.players) * spec.J
     t_setup = time.perf_counter() - t_start
 
@@ -460,7 +431,7 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     vi_left = 0         # value-iteration steps before the next proposal
     fallback = None     # (Tv, u', residual) of the sweep before a proposal
     for iterations in range(1, spec.max_iters + 1):
-        u_new, v_new, clamped = _run_sweep(ws, coeff_arrays, u_values)
+        u_new, v_new, clamped = _run_sweep(ws, v_values, u_values)
         clamp_fraction = max(clamp_fraction, clamped / targets_per_sweep)
         diffs = np.max(np.abs(v_new - v_values), axis=1)
         history.append(diffs)
@@ -492,11 +463,10 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
                 else:
                     rejected += 1
                     vi_left, wait = wait, 2 * wait
-        tensors, coeff_arrays = _refit(ws, v_values)
     if fallback is not None and not converged:
         # Report the last sweep's output, not the untested proposal.
         v_values, u_values = fallback[0], fallback[1]
-        tensors, coeff_arrays = _refit(ws, v_values)
+    values = ValueField(values=v_values, interpolants=_interpolants(grid, v_values))
     if clamp_fraction > _CLAMP_WARN_FRACTION:
         warnings.warn(
             f"{clamp_fraction:.1%} of successor-state samples clamped to the state box; "
@@ -508,7 +478,7 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     return EquilibriumResult(
         converged=converged,
         iterations=iterations,
-        values=ValueField(values=v_values, interpolants=tensors),
+        values=values,
         policy=PolicyField(values=u_values),
         history=np.array(history).reshape(-1, spec.J),
         timings={"setup": t_setup, "sweeps": t_total - t_setup, "total": t_total},
@@ -522,13 +492,14 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
 # trajectory simulation
 # ---------------------------------------------------------------------------
 
+def _interpolants(grid: StateGrid, node_values: np.ndarray) -> list[CoefTensor]:
+    """State-space interpolants of per-player (J, N_P) node values."""
+    return [tensor_coeffs(v.reshape(grid.shape, order="F"), grid.bases) for v in node_values]
+
+
 def fit_policy(grid: StateGrid, policy: PolicyField) -> list[CoefTensor]:
     """State-space interpolants of the per-player policy node values."""
-    shape = tuple(b.size for b in grid.bases)
-    return [
-        tensor_coeffs(policy.values[i].reshape(shape, order="F"), grid.bases)
-        for i in range(policy.values.shape[0])
-    ]
+    return _interpolants(grid, policy.values)
 
 
 def simulate(
@@ -546,8 +517,8 @@ def simulate(
     if len(policies) != J:
         raise ValueError("need one policy interpolant per player")
     p = np.asarray(p0, dtype=float).copy()
-    if p.shape != (J,) or np.any(p < 0.0) or np.any(p > spec.P_max):
-        raise ValueError(f"p0 must lie in [0, {spec.P_max}]^{J}")
+    if p.shape != (J,) or not np.all((p >= 0.0) & (p <= spec.P_max)):
+        raise ValueError(f"p0 must be finite and lie in [0, {spec.P_max}]^{J}")
     n_steps = int(n_steps)
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")

@@ -14,7 +14,7 @@ import pytest
 import chebnash as cn
 from chebnash.cheb1d import to_reference
 from chebnash.chebnd import eval_full
-from chebnash.solver import _successor_values
+from chebnash.solver import _Workspace, _cardinal_rows, _successor_values
 
 RNG_SEED = 20240801
 
@@ -75,7 +75,7 @@ def test_criterion_01_chebyshev_exactness():
 
 
 # ---------------------------------------------------------------------------
-# 2. FFT transform equals the direct cosine summation
+# 2. the matrix transform equals the direct cosine summation
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_transform_equivalence():
@@ -84,7 +84,7 @@ def test_criterion_02_transform_equivalence():
         n = int(rng.integers(1, 65))
         samples = rng.standard_normal(n + 1)
         basis = cn.make_basis(n, -1.0, 1.0)
-        fft_path = cn.coeffs_from_samples(samples, basis).coefficients
+        matrix_path = cn.coeffs_from_samples(samples, basis).coefficients
         k = np.arange(n + 1)
         w = np.ones(n + 1)
         w[0] = w[-1] = 0.5
@@ -92,8 +92,8 @@ def test_criterion_02_transform_equivalence():
         for l in range(n + 1):
             scale = (1.0 if l in (0, n) else 2.0) / n
             direct[l] = scale * np.sum(w * samples * np.cos(np.pi * l * k / n))
-        np.testing.assert_allclose(fft_path, direct, atol=1e-12)
-    _report(2, "FFT coefficients equal direct halved-end summation")
+        np.testing.assert_allclose(matrix_path, direct, atol=1e-12)
+    _report(2, "matrix-transform coefficients equal direct halved-end summation")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,21 @@ def test_criterion_03_batched_evaluation_oracle():
                       for _ in range(n))
         tensor = cn.CoefTensor(bases, rng.standard_normal(tuple(b.size for b in bases)))
         pts = rng.uniform(-1.0, 1.0, (count, n))
-        batched = _successor_values(tensor.coefficients, pts)
+        rows = [cn.basis_matrix(pts[:, d], b.degree) for d, b in enumerate(bases)]
+        batched = _successor_values(rows, tensor.coefficients)
+        naive = np.array([eval_full(tensor, p) for p in pts])
+        np.testing.assert_allclose(batched, naive, atol=1e-11)
+    # The sweep's form: cardinal rows of a state grid against node values.
+    presets = {2: "example1", 3: "example3", 4: "example4"}
+    for trial in range(20):
+        n = int(rng.integers(2, 5))
+        count = int(rng.integers(1, 33))
+        spec = cn.preset_spec(presets[n], Np=rng.integers(1, 7, size=n))
+        grid = cn.build_state_grid(spec)
+        node_tensor = rng.standard_normal(grid.n_nodes).reshape(grid.shape, order="F")
+        pts = rng.uniform(-1.0, 1.0, (count, n))
+        batched = _successor_values(_cardinal_rows(_Workspace(spec, grid), pts), node_tensor)
+        tensor = cn.tensor_coeffs(node_tensor, grid.bases)
         naive = np.array([eval_full(tensor, p) for p in pts])
         np.testing.assert_allclose(batched, naive, atol=1e-11)
     _report(3, "batched successor-value evaluation matches per-point loop")

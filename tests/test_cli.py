@@ -196,6 +196,22 @@ def test_simulate_without_policy_is_error(tmp_path, capsys):
     assert "solve" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    ("run.json", lambda text: "{bad", "run.json"),
+    ("policy.csv", lambda text: text.replace("u_2", "v_2", 1), "u_2"),
+    ("policy.csv", lambda text: "", "policy.csv"),
+], ids=["run.json", "policy.csv", "empty-policy.csv"])
+@pytest.mark.filterwarnings("ignore:genfromtxt:UserWarning")
+def test_simulate_malformed_inputs_are_usage_errors(tmp_path, capsys, name, edit, message):
+    out = tmp_path / "run"
+    run_cli(["solve", "--preset", "example1", *FAST, "--out", str(out)])
+    (out / name).write_text(edit((out / name).read_text()))
+    assert main(["simulate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (out / "timepath.csv").exists()
+
+
 def test_policy_roundtrip_is_lossless(tmp_path):
     out = tmp_path / "run"
     run_cli(["solve", "--preset", "example1", *FAST, "--out", str(out)])

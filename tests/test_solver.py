@@ -12,14 +12,19 @@ from chebnash.cheb1d import (
     derivative_array,
     make_basis,
 )
-from chebnash.chebnd import eval_full
+from chebnash.chebnd import basis_matrix, eval_full
 from chebnash.game import GameSpec, build_state_grid, discounted_payoff, dynamics
 from chebnash.presets import preset_spec
 from chebnash.solver import (
     PolicyField,
     ValueField,
+    _cardinal_rows,
     _colleague_roots,
+    _evaluate_policy,
     _maximise_block,
+    _successor_points,
+    _successor_values,
+    _Workspace,
     bellman_sweep,
     fit_policy,
     newton_maximize,
@@ -162,6 +167,21 @@ def test_value_field_interpolants_reproduce_node_values():
     for i in range(2):
         got = np.array([eval_full(result.values.interpolants[i], r) for r in refs])
         np.testing.assert_allclose(got, result.values.values[i], rtol=1e-10, atol=1e-12)
+
+
+def test_policy_evaluation_is_the_sweeps_fixed_point_at_that_policy():
+    # Three state axes, so the successor values run the diagonal bind too.
+    spec = preset_spec("example3", Np=3, Nu=3)
+    grid = build_state_grid(spec)
+    ws = _Workspace(spec, grid)
+    u = np.random.default_rng(5).uniform(0.0, spec.U_max, (spec.J, grid.n_nodes))
+    V = _evaluate_policy(ws, u)
+    for i, pw in enumerate(ws.players):
+        pts, _ = _successor_points(ws, i, u)
+        succ = _successor_values(_cardinal_rows(ws, pts), V[i].reshape(grid.shape, order="F"))
+        w = basis_matrix(u[i] * ws.u_scale - 1.0, pw.K - 1) @ pw.M0
+        swept = spec.delta * np.einsum("nk,nk->n", w, pw.stage + succ.reshape(-1, pw.K))
+        np.testing.assert_allclose(swept, V[i], rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +382,16 @@ def test_simulate_rejects_out_of_box_start():
     policies = fit_policy(grid, PolicyField(values=np.zeros((2, grid.n_nodes))))
     with pytest.raises(ValueError):
         simulate(spec, policies, [10.0, 0.0], 5)
+
+
+@pytest.mark.parametrize("n_steps", [0, 5])
+@pytest.mark.parametrize("p0", [[np.nan, 0.0], [0.1, np.nan]])
+def test_simulate_rejects_non_finite_start(p0, n_steps):
+    spec = fast_spec(Np=2, Nu=2)
+    grid = build_state_grid(spec)
+    policies = fit_policy(grid, PolicyField(values=np.zeros((2, grid.n_nodes))))
+    with pytest.raises(ValueError, match="p0"):
+        simulate(spec, policies, p0, n_steps)
 
 
 @pytest.mark.parametrize("n_steps", [-1, -5])
