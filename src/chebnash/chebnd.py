@@ -7,13 +7,8 @@ B[j, l] = T_l(x_j) is contracted against the leading coefficient axis and
 the axes rotate so the next dimension becomes leading.
 
 :func:`eval_axis` binds the leading variable of one tensor at a shared
-list of points.  The private kernels below it are the building blocks of
-the solver's batched evaluation of one interpolant at many points, from
-coefficients or from node values: :func:`_bind_rows` binds the leading
-axis at every point against a shared tensor, and :func:`_bind_diagonal`
-binds, for M partially bound tensors, the leading axis of tensor j with
-its own row j.  Both perform a fixed arithmetic sequence per point, so a
-result does not depend on how many points share a call.
+list of points.  The solver evaluates its interpolants from node values
+instead, through the per-axis Chebyshev rows of :func:`_row_basis`.
 """
 
 from __future__ import annotations
@@ -79,16 +74,6 @@ def _row_basis(points: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _bind_rows(B: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Contract each row of (k, d) against (d, rest) -> (k, rest), row by row."""
-    return np.matmul(B[:, None, :], flat)[:, 0, :]
-
-
-def _bind_diagonal(B: np.ndarray, member_first: np.ndarray) -> np.ndarray:
-    """Contract row j of (M, d) against member j of (M, d, rest) -> (M, rest)."""
-    return np.matmul(B[:, None, :], member_first)[:, 0, :]
-
-
 def tensor_coeffs(samples, bases) -> CoefTensor:
     """Coefficient tensor of the interpolant through samples at all node tuples.
 
@@ -137,12 +122,8 @@ def eval_axis(tensor: CoefTensor, points) -> np.ndarray:
     x = clamp_reference(points)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("points must be a non-empty one-dimensional list")
-    d1 = tensor.bases[0].size
-    B = _row_basis(x, d1)
-    A = tensor.coefficients
-    rest = A.shape[1:]
-    out = _bind_rows(B, A.reshape(d1, -1))                      # (k, prod(rest))
-    return np.moveaxis(out.reshape((x.size,) + rest), 0, -1)
+    B = _row_basis(x, tensor.bases[0].size)                     # (k, N_1+1)
+    return np.moveaxis(np.tensordot(B, tensor.coefficients, axes=1), 0, -1)
 
 
 def eval_full(tensor: CoefTensor, point) -> float:

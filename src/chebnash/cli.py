@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .game import GameSpec, build_state_grid
-from .oracle import lq_solve, policy_error
+from .oracle import check_oracle, lq_solve, policy_error
 from .presets import PRESET_NAMES, preset_spec, spec_from_dict, spec_to_dict
-from .solver import fit_policy, simulate, solve
+from .solver import PolicyField, fit_policy, simulate, solve
 
 SCHEMA_VERSION = 1
 _FLOAT_FMT = "%.16e"
@@ -58,6 +58,8 @@ def _resolve_config(args) -> dict:
             file_cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
     preset = args.preset or file_cfg.get("preset") or "custom"
     if preset != "custom" and preset not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset!r}")
@@ -66,6 +68,8 @@ def _resolve_config(args) -> dict:
     if preset != "custom":
         game = spec_to_dict(preset_spec(preset))
     if "game" in file_cfg:
+        if not isinstance(file_cfg["game"], dict):
+            raise ConfigError("the config's 'game' section must be a JSON object")
         game.update(file_cfg["game"])
     if not game:
         raise ConfigError("custom runs need a config file with a full 'game' section")
@@ -95,14 +99,19 @@ def _resolve_config(args) -> dict:
 
 
 def _spec_from_config(cfg: dict) -> GameSpec:
-    """Validate cfg['game'] and normalise it back into the config echo."""
+    """Validate cfg's game, p0 and sim_horizon; normalise the game into the echo."""
     try:
         spec = spec_from_dict(cfg["game"])
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid game parameters: {exc}") from exc
     cfg["game"] = spec_to_dict(spec)
-    if len(cfg.get("p0", [])) != spec.J:
-        raise ConfigError(f"p0 needs {spec.J} components")
+    numbers = (int, float)
+    p0 = cfg.get("p0")
+    if not (isinstance(p0, list) and len(p0) == spec.J
+            and all(isinstance(x, numbers) for x in p0)):
+        raise ConfigError(f"p0 needs {spec.J} numbers")
+    if not isinstance(cfg.get("sim_horizon"), numbers):
+        raise ConfigError("sim_horizon must be a number")
     return spec
 
 
@@ -199,8 +208,6 @@ def cmd_simulate(args) -> int:
     )
     if policy_values.shape[1] != grid.n_nodes:
         raise ConfigError("policy.csv does not match the configured grid")
-    from .solver import PolicyField
-
     policies = fit_policy(grid, PolicyField(values=policy_values))
     p0 = np.asarray(cfg["p0"], dtype=float)
     horizon = float(cfg["sim_horizon"])
@@ -225,17 +232,21 @@ def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     spec = _spec_from_config(cfg)
     if spec.J != 2:
-        print("no oracle: closed-form comparison needs a 2-player game", file=sys.stderr)
-        return 2
+        raise ConfigError("no oracle: closed-form comparison needs a 2-player game")
     degrees = args.np_list if args.np_list is not None else [2, 4, 8]
+    oracles = []        # every degree's oracle is checked before the first solve
+    for deg in degrees:
+        try:
+            spec_d = spec_from_dict({**cfg["game"], "Np": deg})
+            grid = build_state_grid(spec_d)
+            oracles.append((spec_d, grid, check_oracle(lq_solve(spec_d, grid))))
+        except ValueError as exc:
+            raise ConfigError(f"Np={deg}: {exc}") from exc
     out = _out_dir(args)
     _write_run_json(out, cfg)
     errors = []
     times = []
-    for deg in degrees:
-        spec_d = spec_from_dict({**cfg["game"], "Np": deg})
-        grid = build_state_grid(spec_d)
-        feedback = lq_solve(spec_d, grid)
+    for deg, (spec_d, grid, feedback) in zip(degrees, oracles):
         t0 = time.perf_counter()
         result = solve(spec_d)
         times.append(time.perf_counter() - t0)

@@ -181,6 +181,13 @@ def policy_error(policy_values, feedback: LQFeedback, grid: StateGrid) -> float:
     J = feedback.e.size
     if values.shape != (J, grid.n_nodes):
         raise ValueError(f"expected policy of shape {(J, grid.n_nodes)}, got {values.shape}")
+    check_oracle(feedback)
+    reference = feedback.policy(grid.nodes).T   # (J, N)
+    return float(np.sqrt(np.sum((values - reference) ** 2)) / grid.n_nodes)
+
+
+def check_oracle(feedback: LQFeedback) -> LQFeedback:
+    """`feedback`, or ValueError if its unconstrained form leaves [0, U_max] on its grid."""
     if feedback.negative_fraction > 0.0:
         raise ValueError(
             "oracle invalid: unconstrained feedback is negative on "
@@ -191,5 +198,4 @@ def policy_error(policy_values, feedback: LQFeedback, grid: StateGrid) -> float:
             "oracle invalid: unconstrained feedback exceeds U_max on "
             f"{feedback.high_fraction:.1%} of grid nodes"
         )
-    reference = feedback.policy(grid.nodes).T   # (J, N)
-    return float(np.sqrt(np.sum((values - reference) ** 2)) / grid.n_nodes)
+    return feedback

@@ -7,10 +7,10 @@ state node and for every player:
 1. evaluate the affine drift g(p, u) in closed form at the player's
    control nodes, the other players held at their current policy values,
    and take the Euler successor states;
-2. evaluate the player's value interpolant at all successor states in one
-   batched, axis-by-axis contraction of the grid's cardinal functions
-   (:func:`_cardinal_rows`) with the node values, and form the candidate
-   objective: stage gain plus discounted successor value;
+2. evaluate the player's value interpolant at all successor states from
+   its node values, binding the other players' axes once per node and the
+   own axis once per control (:func:`_cardinal_matrix`), and form the
+   candidate objective: stage gain plus discounted successor value;
 3. fit the one-dimensional Chebyshev interpolant of those samples and
    maximise it over the control interval at its critical points: the
    roots of its derivative, all rows' at once as the eigenvalues of
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheb1d import CoefVector, _transform_matrix, clenshaw, derivative_array, make_basis
-from .chebnd import CoefTensor, _bind_diagonal, _bind_rows, _row_basis, tensor_coeffs
+from .chebnd import CoefTensor, _row_basis, tensor_coeffs
 from .game import GameSpec, StateGrid, build_state_grid, dynamics, step
 
 _CLAMP_WARN_FRACTION = 0.01
@@ -227,51 +227,50 @@ def newton_maximize(coeffs: CoefVector, u0: float) -> tuple[float, float]:
 # one sweep
 # ---------------------------------------------------------------------------
 
-def _cardinal_rows(ws: _Workspace, pts: np.ndarray) -> list[np.ndarray]:
-    """Per-axis cardinal functions of the state grid at (P, J) reference points.
+def _cardinal_rows(ws: _Workspace, coords: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-axis cardinal functions of the state grid at per-axis reference points.
 
-    Entry d is (P, Np_d + 1): Chebyshev values times the samples ->
-    coefficients matrix of axis d.
+    Entry d is (len(coords[d]), Np_d + 1): Chebyshev values times the
+    samples -> coefficients matrix of axis d.
     """
-    return [_row_basis(pts[:, d], M.shape[0]) @ M for d, M in enumerate(ws.transforms)]
+    return [_row_basis(x, M.shape[0]) @ M for x, M in zip(coords, ws.transforms)]
 
 
-def _successor_values(rows: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
-    """Contract per-axis rows (P, tensor.shape[d]) with a tensor: (P,) values.
+def _cardinal_matrix(rows: list[np.ndarray]) -> np.ndarray:
+    """Row-wise Kronecker product of per-axis rows (P, s_d): (P, prod s_d).
 
-    Chebyshev rows with coefficients, or cardinal rows with the node
-    values, give an interpolant at P points.  The leading axis is bound at
-    all points at once against the shared tensor, every further axis row
-    by row (point q binds its own row in its own partially bound tensor),
-    and the last one collapses to one value per point.
+    Axis 0 varies fastest, as in the Fortran order of the node values, so
+    `_cardinal_matrix(rows) @ values` is the interpolant at the P points.
     """
-    sizes = tensor.shape
-    n = len(sizes)
-    cur = _bind_rows(rows[0], tensor.reshape(sizes[0], -1))
-    for d in range(1, n - 1):
-        cur = _bind_diagonal(rows[d], cur.reshape(-1, sizes[d], cur.shape[1] // sizes[d]))
-    return np.einsum("ql,ql->q", rows[n - 1], cur.reshape(-1, sizes[n - 1]))
+    card = np.ones((len(rows[0]), 1))
+    for C in reversed(rows):
+        card = (card[:, :, None] * C[:, None, :]).reshape(len(card), -1)
+    return card
 
 
 def _successor_points(
     ws: _Workspace, i: int, policy_values: np.ndarray
-) -> tuple[np.ndarray, int]:
+) -> tuple[list[np.ndarray], int]:
     """Clamped Euler successors of player i's control nodes at every node.
 
-    The other players are held at `policy_values`.  Returns the successors
-    as (N_P*K, J) reference points, node-major, and the clamp count.  The
-    nodes keep a per-node axis, so `dynamics` forms the exchange term of
-    each node once for all K controls.
+    The other players are held at `policy_values`; the own control moves
+    only coordinate i, so `dynamics` runs once per node with u_i = 0.
+    Returns reference coordinates per axis, N_P for d != i and N_P*K
+    (node-major) for axis i, and the clamp count over all N_P*K*J
+    successor components (a clamped coordinate d != i counts K times).
     """
     spec = ws.spec
     pw = ws.players[i]
-    nodes = ws.grid.nodes[:, None, :]                          # (N_P, 1, J)
-    u = np.repeat(policy_values.T[:, None, :], pw.K, axis=1)
-    u[:, :, i] = pw.u_nodes                                    # (N_P, K, J)
-    nxt = nodes + spec.h * dynamics(spec, nodes, u)
+    u = policy_values.T.copy()
+    u[:, i] = 0.0
+    drift = np.repeat(dynamics(spec, ws.grid.nodes, u)[:, None, :], pw.K, axis=1)
+    drift[:, :, i] += spec.beta[i] * pw.u_nodes                        # (N_P, K, J)
+    nxt = ws.grid.nodes[:, None, :] + spec.h * drift
     clipped = np.clip(nxt, 0.0, spec.P_max)
-    n_clamped = int(np.count_nonzero(clipped != nxt))
-    return clipped.reshape(-1, spec.J) * ws.p_scale - 1.0, n_clamped
+    ref = clipped * ws.p_scale - 1.0
+    coords = [ref[:, 0, d] for d in range(spec.J)]
+    coords[i] = ref[:, :, i].ravel()
+    return coords, int(np.count_nonzero(clipped != nxt))
 
 
 def _best_response_block(
@@ -286,12 +285,15 @@ def _best_response_block(
 
     # Step 1: drift at the player's own control nodes, the others at their
     # current controls, and the Euler successor states.
-    pts, n_clamped = _successor_points(ws, i, policy_values)
+    coords, n_clamped = _successor_points(ws, i, policy_values)
 
     # Step 2: discounted objective at the player's control nodes.
-    tensor = node_values[i].reshape(ws.grid.shape, order="F")
-    v_next = _successor_values(_cardinal_rows(ws, pts), tensor)
-    objective = spec.delta * (pw.stage + v_next.reshape(-1, pw.K))
+    rows = _cardinal_rows(ws, coords)
+    own = rows.pop(i).reshape(ws.grid.n_nodes, pw.K, -1)                # (N_P, K, s_i)
+    tensor = np.moveaxis(node_values[i].reshape(ws.grid.shape, order="F"), i, -1)
+    partial = _cardinal_matrix(rows) @ tensor.reshape(-1, own.shape[2], order="F")
+    v_next = np.einsum("nka,na->nk", own, partial)
+    objective = spec.delta * (pw.stage + v_next)
     if not np.all(np.isfinite(objective)):
         raise FloatingPointError("non-finite objective sample in sweep")
 
@@ -340,24 +342,21 @@ def _evaluate_policy(ws: _Workspace, policy_values: np.ndarray) -> np.ndarray:
     at node n is the fitted objective at the player's own control,
     delta * sum_k w_k (stage_k + V_i(successor_k)), where w holds the
     control-interpolation weights of that control.  The successor value is
-    linear in the node values through the state cardinal functions, so
-    the fixed point solves (I - delta E_i) V_i = delta sum_k w_k stage_k,
-    one dense system per player over the whole grid.  Raises LinAlgError
-    when a system is singular.
+    linear in the node values through the sweep's cardinal matrix, and
+    only its own-axis row depends on k, so E_i is that matrix built with
+    the own-axis row sum_k w_k C_i[n, k, :].  The fixed point solves
+    (I - delta E_i) V_i = delta sum_k w_k stage_k, one dense N_P x N_P
+    system per player.  Raises LinAlgError when a system is singular.
     """
     spec = ws.spec
     n = ws.grid.n_nodes
     out = np.empty((spec.J, n))
     for i, pw in enumerate(ws.players):
-        pts, _ = _successor_points(ws, i, policy_values)
-        # Cardinal functions of the state grid at every successor: the
-        # row-wise Kronecker product of the sweep's per-axis rows, axis 1
-        # fastest to match the Fortran order of the node values.
-        card = np.ones((len(pts), 1))
-        for C in reversed(_cardinal_rows(ws, pts)):
-            card = (card[:, :, None] * C[:, None, :]).reshape(len(pts), -1)
+        coords, _ = _successor_points(ws, i, policy_values)
+        rows = _cardinal_rows(ws, coords)
         w = _row_basis(policy_values[i] * ws.u_scale - 1.0, pw.K) @ pw.M0   # (n, K)
-        E = np.matmul(w[:, None, :], card.reshape(n, pw.K, n))[:, 0, :]
+        rows[i] = np.einsum("nk,nka->na", w, rows[i].reshape(n, pw.K, -1))
+        E = _cardinal_matrix(rows)
         rhs = spec.delta * np.einsum("nk,nk->n", w, pw.stage)
         out[i] = np.linalg.solve(np.eye(n) - spec.delta * E, rhs)
     return out

@@ -14,7 +14,7 @@ import pytest
 import chebnash as cn
 from chebnash.cheb1d import to_reference
 from chebnash.chebnd import eval_full
-from chebnash.solver import _Workspace, _cardinal_rows, _successor_values
+from chebnash.solver import _Workspace, _cardinal_matrix, _cardinal_rows
 
 RNG_SEED = 20240801
 
@@ -110,7 +110,7 @@ def test_criterion_03_batched_evaluation_oracle():
         tensor = cn.CoefTensor(bases, rng.standard_normal(tuple(b.size for b in bases)))
         pts = rng.uniform(-1.0, 1.0, (count, n))
         rows = [cn.basis_matrix(pts[:, d], b.degree) for d, b in enumerate(bases)]
-        batched = _successor_values(rows, tensor.coefficients)
+        batched = _cardinal_matrix(rows) @ tensor.coefficients.ravel(order="F")
         naive = np.array([eval_full(tensor, p) for p in pts])
         np.testing.assert_allclose(batched, naive, atol=1e-11)
     # The sweep's form: cardinal rows of a state grid against node values.
@@ -122,7 +122,8 @@ def test_criterion_03_batched_evaluation_oracle():
         grid = cn.build_state_grid(spec)
         node_tensor = rng.standard_normal(grid.n_nodes).reshape(grid.shape, order="F")
         pts = rng.uniform(-1.0, 1.0, (count, n))
-        batched = _successor_values(_cardinal_rows(_Workspace(spec, grid), pts), node_tensor)
+        rows = _cardinal_rows(_Workspace(spec, grid), list(pts.T))
+        batched = _cardinal_matrix(rows) @ node_tensor.ravel(order="F")
         tensor = cn.tensor_coeffs(node_tensor, grid.bases)
         naive = np.array([eval_full(tensor, p) for p in pts])
         np.testing.assert_allclose(batched, naive, atol=1e-11)

@@ -212,6 +212,42 @@ def test_simulate_malformed_inputs_are_usage_errors(tmp_path, capsys, name, edit
     assert not (out / "timepath.csv").exists()
 
 
+def _config_file(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["solve", "--config", str(path), "--out", str(tmp_path / "run")]
+
+
+def _simulate_edited_run(tmp_path, **edit):
+    out = tmp_path / "run"
+    run_cli(["solve", "--preset", "example1", *FAST, "--out", str(out)])
+    cfg = {**json.loads((out / "run.json").read_text()), **edit}
+    (out / "run.json").write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    return ["simulate", "--out", str(out)]
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (lambda tmp: ["compare", "--preset", "example1", "--pm", "1.2", "--np-list", "2",
+                  "--out", str(tmp / "run")], "oracle invalid"),
+    (lambda tmp: ["compare", "--preset", "example1", "--np-list", "0",
+                  "--out", str(tmp / "run")], "Np=0"),
+    (lambda tmp: _config_file(tmp, [1, 2]), "JSON object"),
+    (lambda tmp: _config_file(tmp, {"preset": "example1", "game": [1, 2]}), "'game'"),
+    (lambda tmp: _config_file(tmp, {"preset": "example1", "p0": 0.1}), "p0"),
+    (lambda tmp: _simulate_edited_run(tmp, sim_horizon=None), "sim_horizon"),
+    (lambda tmp: _simulate_edited_run(tmp, p0=["a", "b"]), "p0"),
+], ids=["invalid-oracle", "np-list-0", "config-list", "game-list", "p0-number",
+        "no-sim_horizon", "p0-strings"])
+def test_malformed_input_is_usage_error_before_any_work(tmp_path, capsys, make_argv, message):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "run" / "error.csv").exists()
+    assert not (tmp_path / "run" / "timepath.csv").exists()
+
+
 def test_policy_roundtrip_is_lossless(tmp_path):
     out = tmp_path / "run"
     run_cli(["solve", "--preset", "example1", *FAST, "--out", str(out)])

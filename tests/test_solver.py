@@ -12,18 +12,15 @@ from chebnash.cheb1d import (
     derivative_array,
     make_basis,
 )
-from chebnash.chebnd import basis_matrix, eval_full
+from chebnash.chebnd import basis_matrix, eval_full, tensor_coeffs
 from chebnash.game import GameSpec, build_state_grid, discounted_payoff, dynamics
 from chebnash.presets import preset_spec
 from chebnash.solver import (
     PolicyField,
     ValueField,
-    _cardinal_rows,
     _colleague_roots,
     _evaluate_policy,
     _maximise_block,
-    _successor_points,
-    _successor_values,
     _Workspace,
     bellman_sweep,
     fit_policy,
@@ -133,8 +130,6 @@ def test_linear_rows_take_the_higher_end():
 # ---------------------------------------------------------------------------
 
 def _zero_fields(spec, grid):
-    from chebnash.chebnd import tensor_coeffs
-
     shape = tuple(b.size for b in grid.bases)
     zeros = np.zeros((spec.J, grid.n_nodes))
     interp = [tensor_coeffs(np.zeros(shape), grid.bases) for _ in range(spec.J)]
@@ -169,19 +164,53 @@ def test_value_field_interpolants_reproduce_node_values():
         np.testing.assert_allclose(got, result.values.values[i], rtol=1e-10, atol=1e-12)
 
 
+def _successor_controls(policy_values, i, u_nodes):
+    """(N_P, K, J) controls: player i at its control nodes, the rest at their policy."""
+    u = np.repeat(policy_values.T[:, None, :], u_nodes.size, axis=1)
+    u[:, :, i] = u_nodes
+    return u
+
+
+def _pointwise_successor_values(spec, grid, i, node_values, policy_values, u_nodes):
+    """(N_P, K) interpolant of node_values at player i's successors, point by point."""
+    nodes = grid.nodes[:, None, :]
+    controls = _successor_controls(policy_values, i, u_nodes)
+    nxt = np.clip(nodes + spec.h * dynamics(spec, nodes, controls), 0.0, spec.P_max)
+    tensor = tensor_coeffs(node_values.reshape(grid.shape, order="F"), grid.bases)
+    refs = 2.0 * nxt / spec.P_max - 1.0
+    return np.array([[eval_full(tensor, r) for r in node] for node in refs])
+
+
 def test_policy_evaluation_is_the_sweeps_fixed_point_at_that_policy():
-    # Three state axes, so the successor values run the diagonal bind too.
-    spec = preset_spec("example3", Np=3, Nu=3)
+    # Distinct per-axis degrees, so a slip in the axis order or in the
+    # Fortran order of the node values changes the answer.
+    spec = preset_spec("example3", Np=(2, 3, 4), Nu=3)
     grid = build_state_grid(spec)
     ws = _Workspace(spec, grid)
     u = np.random.default_rng(5).uniform(0.0, spec.U_max, (spec.J, grid.n_nodes))
     V = _evaluate_policy(ws, u)
     for i, pw in enumerate(ws.players):
-        pts, _ = _successor_points(ws, i, u)
-        succ = _successor_values(_cardinal_rows(ws, pts), V[i].reshape(grid.shape, order="F"))
+        succ = _pointwise_successor_values(spec, grid, i, V[i], u, pw.u_nodes)
         w = basis_matrix(u[i] * ws.u_scale - 1.0, pw.K - 1) @ pw.M0
-        swept = spec.delta * np.einsum("nk,nk->n", w, pw.stage + succ.reshape(-1, pw.K))
+        swept = spec.delta * np.einsum("nk,nk->n", w, pw.stage + succ)
         np.testing.assert_allclose(swept, V[i], rtol=0, atol=1e-10)
+
+
+def test_sweep_values_match_pointwise_successor_evaluation():
+    # The sweep binds the other players' axes once per node; here every
+    # successor is evaluated on its own, on a grid of distinct degrees.
+    spec = preset_spec("example3", Np=(2, 3, 4), Nu=3)
+    grid = build_state_grid(spec)
+    ws = _Workspace(spec, grid)
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((spec.J, grid.n_nodes))
+    u = rng.uniform(0.0, spec.U_max, (spec.J, grid.n_nodes))
+    swept, _ = bellman_sweep(spec, grid, ValueField(v, []), PolicyField(u))
+    for i, pw in enumerate(ws.players):
+        succ = _pointwise_successor_values(spec, grid, i, v[i], u, pw.u_nodes)
+        objective = spec.delta * (pw.stage + succ)
+        _, best = _maximise_block(objective @ pw.M0.T)
+        np.testing.assert_allclose(swept.values[i], best, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +359,28 @@ def test_no_clamps_when_no_successor_leaves_the_box():
         result = solve(spec, init=(zeros, zeros))
     assert result.iterations == 1
     assert result.clamp_fraction == 0.0
+
+
+def test_clamp_fraction_counts_every_successor_component():
+    # P_max = 0.3 lets the successors of the top nodes leave the box in the
+    # other players' coordinates as well as in the own one.
+    spec = preset_spec("example3", Np=(2, 3, 4), Nu=3, h=1e-1, P_max=0.3, max_iters=1)
+    grid = build_state_grid(spec)
+    ws = _Workspace(spec, grid)
+    policy = np.broadcast_to(spec.A[:, None], (spec.J, grid.n_nodes))
+    nodes = grid.nodes[:, None, :]
+    clamped = others = total = 0
+    for i, pw in enumerate(ws.players):
+        controls = _successor_controls(policy, i, pw.u_nodes)
+        nxt = nodes + spec.h * dynamics(spec, nodes, controls)      # (N_P, K, J)
+        hit = np.clip(nxt, 0.0, spec.P_max) != nxt
+        clamped += np.count_nonzero(hit)
+        others += np.count_nonzero(np.delete(hit, i, axis=2))
+        total += hit.size
+    assert others > 0
+    result = solve_quiet(spec)
+    assert result.iterations == 1
+    assert result.clamp_fraction == clamped / total
 
 
 # ---------------------------------------------------------------------------
