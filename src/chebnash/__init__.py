@@ -6,8 +6,10 @@ on a tensor-product Chebyshev collocation grid.  Each sweep evaluates the
 affine drift in closed form and every player's value interpolant at all
 successor states of all nodes in one batched contraction.  Between sweeps
 the current joint policy is evaluated exactly, with one dense linear
-solve per player.  A coefficient-space fixed point of the same Bellman
-update serves as an exact oracle for the 2-player case.
+solve per player.  The iteration starts from the equilibrium of the
+unconstrained linear-quadratic game, computed exactly in coefficient
+space; where its feedback stays inside the control box it also serves as
+an exact oracle.
 """
 
 from .cheb1d import (

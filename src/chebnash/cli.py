@@ -84,11 +84,19 @@ def _resolve_config(args) -> dict:
     if args.nu is not None:
         game["Nu"] = args.nu if len(args.nu) > 1 else args.nu[0]
 
+    if "p0" in file_cfg:
+        p0 = file_cfg["p0"]
+    else:
+        try:
+            p0 = [0.0] * int(game.get("J", 0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid game parameters: J must be an integer, "
+                              f"got {game.get('J')!r}") from exc
     cfg = {
         "schema_version": SCHEMA_VERSION,
         "preset": preset,
         "game": game,
-        "p0": file_cfg.get("p0", [0.0] * int(game.get("J", 0))),
+        "p0": p0,
         "sim_horizon": file_cfg.get("sim_horizon", 20.0),
     }
     if args.p0 is not None:

@@ -1,17 +1,21 @@
-"""Closed-form linear-feedback equilibrium for validation.
+"""Closed-form linear-feedback equilibrium for validation and as a start.
 
 For the linear-quadratic game the discounted Bellman operator maps
 quadratic value functions and affine feedback policies to the same family
-as long as the non-negativity constraint on emissions stays inactive.
-Iterating that exact update in coefficient space therefore converges to
-the equilibrium without any interpolation, giving an oracle that is fully
+as long as the control constraints stay inactive.  The equilibrium of
+that unconstrained game is therefore found in coefficient space without
+any interpolation, by policy iteration (Newton-Kleinman; Kleinman 1968,
+Li & Gajic 1995): each affine profile is evaluated exactly, one discrete
+Stein equation for the quadratic forms of all players, and every player
+then takes the closed-form best response to it.  The oracle is fully
 independent of the collocation machinery.
 
 The value ansatz is V_i(p) = p' Q_i p + b_i' p + d_i with feedback
 u_i(p) = max(0, e_i + f_i' p).  The oracle records the fraction of grid
-nodes on which the unconstrained feedback goes negative; a comparison
+nodes on which the unconstrained feedback leaves [0, U_max]; a comparison
 against it is refused whenever that fraction is positive, because the
-quadratic ansatz is invalid there.
+quadratic ansatz is invalid there.  The solver starts from its values and
+its policy clipped to [0, U_max].
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .cheb1d import _freeze
 from .game import GameSpec, StateGrid, build_state_grid
 
 _COEF_TOL = 1e-13
-_MAX_ITERS = 1_000_000
+_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,33 @@ def _drift_matrix(spec: GameSpec) -> np.ndarray:
     return (spec.K - np.diag(rowsum)) / spec.m[:, None] - np.diag(spec.c)
 
 
+def _best_response(
+    spec: GameSpec, D: np.ndarray, i: int, Qi: np.ndarray, bi: np.ndarray,
+    e: np.ndarray, f: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Player i's interior best response to value (Qi, bi) and the others' feedback.
+
+    Returns the others' closed-loop matrix M and offset w (player i's own
+    control removed), the own control's column z of the Euler step, and
+    the response (e_i, f_i).
+    """
+    J = spec.J
+    h = spec.h
+    others = np.arange(J) != i
+    E = np.where(others, e, 0.0)
+    F = np.where(others[:, None], f, 0.0)
+    M = np.eye(J) + h * (D + spec.beta[:, None] * F)
+    w = h * spec.beta * E
+    z = np.zeros(J)
+    z[i] = h * spec.beta[i]
+    denom = h - 2.0 * (z @ Qi @ z)
+    if denom <= 0:
+        raise FloatingPointError("interior maximisation is not concave")
+    e_new = (h * spec.A[i] + z @ (2.0 * Qi @ w + bi)) / denom
+    f_new = (2.0 * (z @ Qi) @ M) / denom
+    return M, w, z, e_new, f_new
+
+
 def lq_bellman_update(
     spec: GameSpec, Q: np.ndarray, b: np.ndarray, d: np.ndarray,
     e: np.ndarray, f: np.ndarray,
@@ -73,29 +104,16 @@ def lq_bellman_update(
     the interior maximisation in closed form and recomposes the value as
     V_i'(p) = delta * (h G_i(p_i, u_i*(p)) + V_i(next state)).
     """
-    J = spec.J
     h, delta = spec.h, spec.delta
     D = _drift_matrix(spec)
-    eye = np.eye(J)
     Qn = np.empty_like(Q)
     bn = np.empty_like(b)
     dn = np.empty_like(d)
     en = np.empty_like(e)
     fn = np.empty_like(f)
-    for i in range(J):
-        others = np.arange(J) != i
-        E = np.where(others, e, 0.0)
-        F = np.where(others[:, None], f, 0.0)
-        M = eye + h * (D + spec.beta[:, None] * F)
-        w = h * spec.beta * E
-        z = np.zeros(J)
-        z[i] = h * spec.beta[i]
+    for i in range(spec.J):
         Qi, bi = Q[i], b[i]
-        denom = h - 2.0 * (z @ Qi @ z)
-        if denom <= 0:
-            raise FloatingPointError("interior maximisation is not concave")
-        e_new = (h * spec.A[i] + z @ (2.0 * Qi @ w + bi)) / denom
-        f_new = (2.0 * (z @ Qi) @ M) / denom
+        M, w, z, e_new, f_new = _best_response(spec, D, i, Qi, bi, e, f)
         Mt = M + np.outer(z, f_new)
         wt = w + e_new * z
         stage_quad = -0.5 * np.outer(f_new, f_new)
@@ -109,13 +127,42 @@ def lq_bellman_update(
     return Qn, bn, dn, en, fn
 
 
+def _evaluate_profile(
+    spec: GameSpec, D: np.ndarray, e: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Exact quadratic values (Q, b, d) of every player under u = e + f p.
+
+    All players share the closed loop p' = M p + w, so the quadratic
+    forms solve one discrete Stein equation Q_i = delta (h S_i + M' Q_i M),
+    a J^2 x J^2 system with one right-hand side per player; the linear
+    terms take one J x J solve and the constants are explicit.
+    """
+    J = spec.J
+    h, delta = spec.h, spec.delta
+    M = np.eye(J) + h * (D + spec.beta[:, None] * f)
+    w = h * spec.beta * e
+    S = -0.5 * f[:, :, None] * f[:, None, :]            # (J, J, J): S[i] quadratic stage
+    S[np.arange(J), np.arange(J), np.arange(J)] -= 0.5 * spec.phi
+    stein = np.eye(J * J) - delta * np.kron(M.T, M.T)
+    Q = np.linalg.solve(stein, delta * h * S.reshape(J, J * J).T).T.reshape(J, J, J)
+    Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+    linear = h * (spec.A - e)[:, None] * f + 2.0 * (Q @ w) @ M
+    b = np.linalg.solve(np.eye(J) - delta * M.T, delta * linear.T).T
+    const = h * (spec.A * e - 0.5 * e**2) + np.einsum("a,iab,b->i", w, Q, w) + b @ w
+    d = delta * const / (1.0 - delta)
+    return Q, b, d
+
+
 def lq_solve(spec: GameSpec, grid: StateGrid | None = None) -> LQFeedback:
     """Equilibrium of the unconstrained linear-quadratic game.
 
-    Iterates :func:`lq_bellman_update` from the zero value function until
-    the (Q, b, e, f) coefficients are stationary, then closes the constant
-    term of each value function in one step from its scalar fixed-point
-    equation (the constant decouples from every other coefficient).
+    Policy iteration in coefficient space from the myopic profile
+    u_i = A_i: each affine profile is evaluated exactly (one Stein
+    equation for all players' quadratic forms, then the linear and
+    constant terms), and every player takes the closed-form best response
+    to that value and the others' feedback.  The iteration stops when the
+    response moves (e, f) by less than 1e-13; the returned values are
+    those of the returned feedback.  `iterations` counts evaluations.
 
     Parameters
     ----------
@@ -129,28 +176,23 @@ def lq_solve(spec: GameSpec, grid: StateGrid | None = None) -> LQFeedback:
     Raises
     ------
     RuntimeError
-        If the coefficient iteration has not settled after 10^6 updates.
+        If the feedback has not settled after 100 evaluations.
     """
     J = spec.J
-    Q = np.zeros((J, J, J))
-    b = np.zeros((J, J))
-    d = np.zeros(J)
+    D = _drift_matrix(spec)
     e = spec.A.copy()
     f = np.zeros((J, J))
     for it in range(1, _MAX_ITERS + 1):
-        Qn, bn, dn, en, fn = lq_bellman_update(spec, Q, b, d, e, f)
-        change = max(
-            np.max(np.abs(Qn - Q)), np.max(np.abs(bn - b)),
-            np.max(np.abs(en - e)), np.max(np.abs(fn - f)),
-        )
-        Q, b, e, f = Qn, bn, en, fn
+        Q, b, d = _evaluate_profile(spec, D, e, f)
+        en, fn = np.empty_like(e), np.empty_like(f)
+        for i in range(J):
+            *_, en[i], fn[i] = _best_response(spec, D, i, Q[i], b[i], e, f)
+        change = max(np.max(np.abs(en - e)), np.max(np.abs(fn - f)))
         if change < _COEF_TOL:
             break
+        e, f = en, fn
     else:
-        raise RuntimeError(f"quadratic fixed point not reached in {_MAX_ITERS} iterations")
-    # constant term: d_i = delta * (k_i + d_i) has the explicit solution below
-    _, _, d_once, _, _ = lq_bellman_update(spec, Q, b, np.zeros(J), e, f)
-    d = d_once / (1.0 - spec.delta)
+        raise RuntimeError(f"linear feedback not settled in {_MAX_ITERS} policy iterations")
 
     if grid is None:
         grid = build_state_grid(spec)

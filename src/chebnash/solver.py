@@ -17,13 +17,16 @@ state node and for every player:
    their colleague matrices, polished by two Newton steps and compared
    with both endpoints (:func:`_maximise_block`).
 
-The driver (:func:`solve`) runs safeguarded policy iteration.  A sweep's
-best responses are the improvement step; the joint policy they form is
-then evaluated exactly (:func:`_evaluate_policy`, one dense linear solve
-per player), and the next sweep starts from those values.  A proposal
-whose sweep does not lower the Bellman residual is rejected: the driver
-resumes from the sweep that made it and takes 1, 2, 4, ... plain
-value-iteration steps before the next proposal.
+The driver (:func:`solve`) runs safeguarded policy iteration.  It starts
+from the equilibrium of the unconstrained linear-quadratic game
+(:func:`chebnash.oracle.lq_solve`): that oracle's values at the nodes and
+its policy clipped to [0, U_max].  A sweep's best responses are the
+improvement step; the joint policy they form is then evaluated exactly
+(:func:`_evaluate_policy`, one dense linear solve per player), and the
+next sweep starts from those values.  A proposal whose sweep does not
+lower the Bellman residual is rejected: the driver resumes from the sweep
+that made it and takes 1, 2, 4, ... plain value-iteration steps before
+the next proposal.
 
 Every sweep and every policy evaluation handles all nodes of a player in
 one pass.
@@ -44,6 +47,7 @@ import numpy as np
 from .cheb1d import CoefVector, _transform_matrix, clenshaw, derivative_array, make_basis
 from .chebnd import CoefTensor, _row_basis, tensor_coeffs
 from .game import GameSpec, StateGrid, build_state_grid, dynamics, step
+from .oracle import lq_solve
 
 _CLAMP_WARN_FRACTION = 0.01
 
@@ -89,7 +93,10 @@ class EquilibriumResult:
     proposals that fell back to value iteration (a proposal whose sweep
     did not lower the residual, or a singular or non-finite evaluation).
     `clamp_fraction` is the worst per-sweep share of sampled
-    successor-state components that hit the state box.
+    successor-state components that hit the state box.  `timings` holds
+    wall seconds: "setup" (grid, workspace and validation of `init`),
+    "start" (the LQ oracle when `init` is omitted), "sweeps" (the
+    iteration) and "total" (all three).
     """
 
     converged: bool
@@ -367,11 +374,8 @@ def _evaluate_policy(ws: _Workspace, policy_values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _initial_fields(spec: GameSpec, grid: StateGrid, init) -> tuple[np.ndarray, np.ndarray]:
+    """Validated copies of the caller's (values, policy) start."""
     n = grid.n_nodes
-    if init is None:
-        v = np.zeros((spec.J, n))
-        u = np.broadcast_to(spec.A[:, None], (spec.J, n)).copy()
-        return v, u
     values, policy = init
     v = np.array(getattr(values, "values", values), dtype=float)
     u = np.array(getattr(policy, "values", policy), dtype=float)
@@ -382,6 +386,12 @@ def _initial_fields(spec: GameSpec, grid: StateGrid, init) -> tuple[np.ndarray, 
     if np.any(u < 0.0) or np.any(u > spec.U_max):
         raise ValueError("initial policy outside [0, U_max]")
     return v, u
+
+
+def _lq_start(spec: GameSpec, grid: StateGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The LQ oracle's node values and its policy clipped to [0, U_max]."""
+    fb = lq_solve(spec, grid)
+    return fb.value(grid.nodes).T, np.clip(fb.policy(grid.nodes).T, 0.0, spec.U_max)
 
 
 def solve(spec: GameSpec, init=None) -> EquilibriumResult:
@@ -403,7 +413,10 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
         Model and numerical parameters.
     init : pair, optional
         Initial (values, policy) as (J, N_P) arrays or field objects;
-        defaults to zero values and the myopic policy u_i = A_i.
+        defaults to the LQ oracle (:func:`chebnash.oracle.lq_solve`): its
+        values at the nodes and its policy clipped to [0, U_max].  Pass
+        ``(zeros, spec.A broadcast to (J, N_P))`` to start from the myopic
+        corner instead.
 
     Returns
     -------
@@ -412,14 +425,21 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
         `converged` flag rather than an exception, so partial runs can be
         recorded; such a result holds the output of the last sweep, or of
         the sweep before it when the last one rejected a proposal.
+
+    Raises
+    ------
+    RuntimeError, FloatingPointError
+        When `init` is omitted and the LQ oracle does not settle.
     """
-    t_start = time.perf_counter()
+    t_begin = time.perf_counter()
     grid = build_state_grid(spec)
     ws = _Workspace(spec, grid)
     n = grid.n_nodes
-    v_values, u_values = _initial_fields(spec, grid, init)
+    fields = None if init is None else _initial_fields(spec, grid, init)
     targets_per_sweep = n * sum(pw.K for pw in ws.players) * spec.J
-    t_setup = time.perf_counter() - t_start
+    t_setup = time.perf_counter()
+    v_values, u_values = _lq_start(spec, grid) if fields is None else fields
+    t_start = time.perf_counter()
 
     history = []
     clamp_fraction = 0.0
@@ -473,14 +493,15 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
             RuntimeWarning,
             stacklevel=2,
         )
-    t_total = time.perf_counter() - t_start
+    t_end = time.perf_counter()
     return EquilibriumResult(
         converged=converged,
         iterations=iterations,
         values=values,
         policy=PolicyField(values=u_values),
         history=np.array(history).reshape(-1, spec.J),
-        timings={"setup": t_setup, "sweeps": t_total - t_setup, "total": t_total},
+        timings={"setup": t_setup - t_begin, "start": t_start - t_setup,
+                 "sweeps": t_end - t_start, "total": t_end - t_begin},
         clamp_fraction=clamp_fraction,
         evaluations=evaluations,
         rejected=rejected,

@@ -234,10 +234,12 @@ def _simulate_edited_run(tmp_path, **edit):
     (lambda tmp: _config_file(tmp, [1, 2]), "JSON object"),
     (lambda tmp: _config_file(tmp, {"preset": "example1", "game": [1, 2]}), "'game'"),
     (lambda tmp: _config_file(tmp, {"preset": "example1", "p0": 0.1}), "p0"),
+    (lambda tmp: _config_file(tmp, {"preset": "example1", "game": {"J": "x"}}),
+     "J must be an integer"),
     (lambda tmp: _simulate_edited_run(tmp, sim_horizon=None), "sim_horizon"),
     (lambda tmp: _simulate_edited_run(tmp, p0=["a", "b"]), "p0"),
 ], ids=["invalid-oracle", "np-list-0", "config-list", "game-list", "p0-number",
-        "no-sim_horizon", "p0-strings"])
+        "J-string", "no-sim_horizon", "p0-strings"])
 def test_malformed_input_is_usage_error_before_any_work(tmp_path, capsys, make_argv, message):
     argv = make_argv(tmp_path)
     capsys.readouterr()

@@ -44,12 +44,47 @@ def test_one_update_leaves_fixed_point_unchanged():
     assert np.max(np.abs(fn - fb.f)) < 1e-10
 
 
-def test_value_satisfies_bellman_at_random_states():
-    spec = preset_spec("example1", **FAST)
+def _fixed_point_by_updates(spec):
+    """Iterate lq_bellman_update from zero values until (Q, b, e, f) settle; d in closed form."""
+    J = spec.J
+    Q, b, d = np.zeros((J, J, J)), np.zeros((J, J)), np.zeros(J)
+    e, f = spec.A.copy(), np.zeros((J, J))
+    for _ in range(100_000):
+        Qn, bn, _, en, fn = lq_bellman_update(spec, Q, b, d, e, f)
+        change = max(np.max(np.abs(x - y)) for x, y in [(Qn, Q), (bn, b), (en, e), (fn, f)])
+        Q, b, e, f = Qn, bn, en, fn
+        if change < 1e-13:
+            break
+    else:
+        raise AssertionError("reference iteration did not settle")
+    # The constant solves d = delta * (k + d), where one update from d = 0 gives delta * k.
+    _, _, once, _, _ = lq_bellman_update(spec, Q, b, np.zeros(J), e, f)
+    return Q, b, once / (1.0 - spec.delta), e, f
+
+
+@pytest.mark.parametrize("name, overrides", [("example1", FAST), ("example4", dict(h=1e-2))])
+def test_policy_iteration_matches_the_update_fixed_point(name, overrides):
+    spec = preset_spec(name, **overrides)
+    fb = lq_solve(spec)
+    Q, b, d, e, f = _fixed_point_by_updates(spec)
+    for got, ref in [(fb.Q, Q), (fb.b, b), (fb.e, e), (fb.f, f)]:
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(fb.d, d, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["example1", "example3", "example4"])
+def test_presets_settle_in_few_policy_iterations(name):
+    # The update fixed point needs 19-21k updates at the preset step.
+    assert lq_solve(preset_spec(name)).iterations <= 30
+
+
+@pytest.mark.parametrize("name", ["example1", "example4"])
+def test_value_satisfies_bellman_at_random_states(name):
+    spec = preset_spec(name, **FAST)
     grid = build_state_grid(spec)
     fb = lq_solve(spec, grid)
     rng = np.random.default_rng(8)
-    states = rng.uniform(0.05, spec.P_max * 0.9, (200, 2))
+    states = rng.uniform(0.05, spec.P_max * 0.9, (200, spec.J))
     u_star = fb.policy(states)
     v = fb.value(states)
     nxt = states + spec.h * (

@@ -14,6 +14,7 @@ from chebnash.cheb1d import (
 )
 from chebnash.chebnd import basis_matrix, eval_full, tensor_coeffs
 from chebnash.game import GameSpec, build_state_grid, discounted_payoff, dynamics
+from chebnash.oracle import lq_solve
 from chebnash.presets import preset_spec
 from chebnash.solver import (
     PolicyField,
@@ -41,6 +42,12 @@ def solve_quiet(spec, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return solve(spec, **kw)
+
+
+def myopic_start(spec):
+    """Zero values and the myopic policy u_i = A_i: the start that needs the fallback."""
+    n = build_state_grid(spec).n_nodes
+    return np.zeros((spec.J, n)), np.broadcast_to(spec.A[:, None], (spec.J, n))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +277,11 @@ def test_contraction_of_sup_differences():
 
 
 def test_fallback_keeps_policy_iteration_symmetric():
-    # Accepting every proposal on this spec takes 588 sweeps and ends with
-    # an exchange gap of 4.6e-4; the value-iteration fallback avoids both.
+    # From the myopic start, accepting every proposal on this spec takes
+    # 588 sweeps and ends with an exchange gap of 4.6e-4; the
+    # value-iteration fallback avoids both.
     spec = preset_spec("example1", Np=8, Nu=8, h=1e-2)
-    result = solve_quiet(spec)
+    result = solve_quiet(spec, init=myopic_start(spec))
     assert result.converged
     n = 9
     u1 = result.policy.values[0].reshape(n, n, order="F")
@@ -283,11 +291,44 @@ def test_fallback_keeps_policy_iteration_symmetric():
     assert 1 <= result.evaluations <= result.iterations
 
 
+def test_lq_start_needs_no_fallback():
+    # From the myopic start this spec takes 85 sweeps, 15 evaluations and
+    # 6 rejected proposals.
+    spec = preset_spec("example1", Np=8, Nu=8, h=1e-2)
+    result = solve_quiet(spec)
+    assert result.converged
+    assert result.rejected == 0
+    assert result.iterations <= 10
+
+
+def test_default_start_is_the_clipped_lq_oracle():
+    spec = preset_spec("example1", Np=8, Nu=8, h=1e-2, P_max=1.2, max_iters=1)
+    grid = build_state_grid(spec)
+    fb = lq_solve(spec, grid)
+    assert fb.negative_fraction > 0.0           # the clip is exercised
+    start = (fb.value(grid.nodes).T, np.clip(fb.policy(grid.nodes).T, 0.0, spec.U_max))
+    default, given = solve_quiet(spec), solve_quiet(spec, init=start)
+    for a, b in [(default.values.values, given.values.values),
+                 (default.policy.values, given.policy.values),
+                 (default.history, given.history)]:
+        np.testing.assert_array_equal(a, b)
+    assert (default.iterations, default.evaluations, default.rejected) == (
+        given.iterations, given.evaluations, given.rejected)
+
+
+def test_timings_cover_setup_start_and_sweeps():
+    result = solve_quiet(fast_spec(Np=3, Nu=3))
+    assert set(result.timings) == {"setup", "start", "sweeps", "total"}
+    assert all(t >= 0.0 for t in result.timings.values())
+    assert result.timings["total"] >= result.timings["setup"] + result.timings["start"]
+
+
 def test_fallback_wait_grows_across_accepted_proposals():
-    # A wait that resets after an accepted proposal cycles on this spec.
+    # A wait that resets after an accepted proposal cycles on this spec
+    # from the myopic start.
     spec = preset_spec("example1", rho=0.5, h=5e-3, tol=1e-7, Np=2, Nu=2,
                        max_iters=2000)
-    result = solve_quiet(spec)
+    result = solve_quiet(spec, init=myopic_start(spec))
     assert result.converged
 
 
@@ -378,7 +419,7 @@ def test_clamp_fraction_counts_every_successor_component():
         others += np.count_nonzero(np.delete(hit, i, axis=2))
         total += hit.size
     assert others > 0
-    result = solve_quiet(spec)
+    result = solve_quiet(spec, init=myopic_start(spec))
     assert result.iterations == 1
     assert result.clamp_fraction == clamped / total
 
