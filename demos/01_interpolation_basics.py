@@ -53,15 +53,15 @@ print(f"surface exp(-x^2 - y^2/2) at {np.round(pt, 3)}:",
       f"interpolant {cn.eval_full(tensor, pt):.8f}",
       f"exact {np.exp(-pt[0]**2 - 0.5 * pt[1]**2):.8f}")
 
-# bind x at 5 points in one batched contraction: column j holds the
-# Chebyshev coefficients in y of the surface restricted to x = xs5[j]
+# bind x at 5 points in one contraction with the Chebyshev rows of x:
+# row j holds the coefficients in y of the surface restricted to x = xs5[j]
 xs5 = rng.uniform(-1, 1, 5)
-rows = cn.eval_axis(tensor, xs5)
+rows = cn.basis_matrix(xs5, bases[0].degree) @ tensor.coefficients
 print(f"\nbinding x at 5 points in one contraction gives a {rows.shape} array")
 print("of coefficients in y; residual of each restricted curve at y = 0.3")
 print("versus evaluating the full surface point by point:")
 worst = 0.0
-for j, x in enumerate(xs5):
-    curve = cn.CoefTensor(bases[1:], rows[:, j])
+for x, row in zip(xs5, rows):
+    curve = cn.CoefTensor(bases[1:], row)
     worst = max(worst, abs(cn.eval_full(curve, [0.3]) - cn.eval_full(tensor, [x, 0.3])))
 print(f"  max residual: {worst:.2e}")

@@ -18,14 +18,12 @@ from .cheb1d import (
     coeffs_from_samples,
     derivative_coeffs,
     eval_1d,
-    from_reference,
     make_basis,
     to_reference,
 )
 from .chebnd import (
     CoefTensor,
     basis_matrix,
-    eval_axis,
     eval_full,
     tensor_coeffs,
 )
@@ -47,9 +45,44 @@ from .solver import (
     ValueField,
     bellman_sweep,
     fit_policy,
-    newton_maximize,
     simulate,
     solve,
 )
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "ChebBasis1D",
+    "CoefTensor",
+    "CoefVector",
+    "EquilibriumResult",
+    "GameSpec",
+    "LQFeedback",
+    "PolicyField",
+    "StateGrid",
+    "TimePath",
+    "ValueField",
+    "basis_matrix",
+    "bellman_sweep",
+    "build_state_grid",
+    "coeffs_from_samples",
+    "derivative_coeffs",
+    "discounted_payoff",
+    "dynamics",
+    "eval_1d",
+    "eval_full",
+    "fit_policy",
+    "lq_bellman_update",
+    "lq_solve",
+    "make_basis",
+    "policy_error",
+    "preset_spec",
+    "simulate",
+    "solve",
+    "spec_from_dict",
+    "spec_to_dict",
+    "stage_payoff",
+    "step",
+    "tensor_coeffs",
+    "to_reference",
+]

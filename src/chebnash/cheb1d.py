@@ -8,8 +8,7 @@ with halved first and last summands, applied as one matrix
 recurrence and derivatives are taken in coefficient space.
 
 All functions here work in the reference variable x in [-1, 1]; use
-:func:`to_reference` / :func:`from_reference` to move between an interval
-and the reference variable.
+:func:`to_reference` to map interval points to it.
 """
 
 from __future__ import annotations
@@ -104,24 +103,9 @@ def make_basis(degree: int, a: float, b: float) -> ChebBasis1D:
     return ChebBasis1D(degree=int(degree), a=a, b=b, nodes=_freeze(nodes))
 
 
-def reference_nodes(degree: int) -> np.ndarray:
-    """Chebyshev extrema cos(pi*k/N) on [-1, 1], descending."""
-    if degree == 0:
-        return np.array([0.0])
-    x = np.cos(np.pi * np.arange(degree + 1) / degree)
-    x[0] = 1.0
-    x[-1] = -1.0
-    return x
-
-
 def to_reference(basis: ChebBasis1D, x):
     """Map points of [a, b] to the reference interval [-1, 1]."""
     return (2.0 * np.asarray(x, dtype=float) - (basis.a + basis.b)) / (basis.b - basis.a)
-
-
-def from_reference(basis: ChebBasis1D, t):
-    """Map reference points of [-1, 1] to [a, b]."""
-    return 0.5 * (basis.b - basis.a) * np.asarray(t, dtype=float) + 0.5 * (basis.a + basis.b)
 
 
 def clamp_reference(x, tol: float = CLAMP_TOL):

@@ -2,13 +2,11 @@
 
 Coefficient tensors are built by applying the 1-D transform along the
 leading axis and cyclically rotating the axes until every dimension has
-been processed.  Evaluation proceeds axis by axis: a basis matrix
-B[j, l] = T_l(x_j) is contracted against the leading coefficient axis and
-the axes rotate so the next dimension becomes leading.
-
-:func:`eval_axis` binds the leading variable of one tensor at a shared
-list of points.  The solver evaluates its interpolants from node values
-instead, through the per-axis Chebyshev rows of :func:`_row_basis`.
+been processed.  :func:`eval_full` evaluates one tensor at one point by
+nested Clenshaw contractions, and :func:`basis_matrix` gives the rows
+B[j, l] = T_l(x_j) that bind an axis at many points in one contraction.
+The solver evaluates its interpolants from node values instead, through
+the per-axis Chebyshev rows of :func:`_row_basis`.
 """
 
 from __future__ import annotations
@@ -105,32 +103,11 @@ def tensor_coeffs(samples, bases) -> CoefTensor:
     return CoefTensor(bases, s)
 
 
-def eval_axis(tensor: CoefTensor, points) -> np.ndarray:
-    """Bind the leading variable at a shared list of reference points.
-
-    The basis matrix B[j, l] = T_l(points[j]) is contracted against the
-    leading coefficient axis and the remaining axes rotate so the next
-    dimension becomes leading.
-
-    Returns
-    -------
-    ndarray
-        Shape (N_2+1, ..., N_n+1, k): column j holds the coefficients of
-        the tensor with its leading variable bound to points[j].  Equals
-        per-point 1-D evaluation along the bound axis.
-    """
-    x = clamp_reference(points)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("points must be a non-empty one-dimensional list")
-    B = _row_basis(x, tensor.bases[0].size)                     # (k, N_1+1)
-    return np.moveaxis(np.tensordot(B, tensor.coefficients, axes=1), 0, -1)
-
-
 def eval_full(tensor: CoefTensor, point) -> float:
     """Evaluate one tensor interpolant at a reference point tuple.
 
-    Nested Clenshaw contraction over all axes; the reference scalar
-    evaluator used by tests and the trajectory simulator.
+    Nested Clenshaw contraction over all axes; the scalar reference
+    against which the batched evaluations are tested.
     """
     x = clamp_reference(point)
     if x.ndim != 1 or x.size != tensor.ndim:

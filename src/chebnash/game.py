@@ -131,7 +131,8 @@ class StateGrid:
 
 def build_state_grid(spec: GameSpec) -> StateGrid:
     """Collocation grid with per-player degrees spec.Np on [0, P_max]."""
-    bases = tuple(make_basis(int(n), 0.0, spec.P_max) for n in spec.Np)
+    by_degree = {n: make_basis(n, 0.0, spec.P_max) for n in set(spec.Np.tolist())}
+    bases = tuple(by_degree[n] for n in spec.Np.tolist())
     grids = np.meshgrid(*(b.nodes for b in bases), indexing="ij")
     nodes = np.stack([g.ravel(order="F") for g in grids], axis=-1)
     return StateGrid(bases=bases, nodes=_freeze(nodes))
@@ -157,6 +158,11 @@ def dynamics(spec: GameSpec, p, u) -> np.ndarray:
     reduces to (K p)_i / m_i.
     """
     p, u = _check_state_control(p, u, spec.J)
+    return _drift(spec, p, u)
+
+
+def _drift(spec: GameSpec, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`dynamics` without input checks, for valid float arrays."""
     rowsum = spec.K.sum(axis=1)
     exchange = p @ spec.K.T - p * rowsum
     return exchange / spec.m - spec.c * p + spec.beta * u
@@ -167,14 +173,23 @@ def stage_payoff(spec: GameSpec, i: int, p_i, u_i):
     u_i = np.asarray(u_i, dtype=float)
     if np.any(u_i < 0):
         raise ValueError("controls must be non-negative")
-    p_i = np.asarray(p_i, dtype=float)
+    return _stage_gain(spec, i, np.asarray(p_i, dtype=float), u_i)
+
+
+def _stage_gain(spec: GameSpec, i: int, p_i: np.ndarray, u_i: np.ndarray) -> np.ndarray:
+    """:func:`stage_payoff` without input checks, for valid float arrays."""
     return u_i * (spec.A[i] - 0.5 * u_i) - 0.5 * spec.phi[i] * p_i**2
 
 
 def step(spec: GameSpec, p, u) -> np.ndarray:
     """One explicit Euler step p + h*g(p, u), clamped to [0, P_max]."""
-    nxt = np.asarray(p, dtype=float) + spec.h * dynamics(spec, p, u)
-    return np.clip(nxt, 0.0, spec.P_max)
+    p, u = _check_state_control(p, u, spec.J)
+    return _euler_step(spec, p, u)
+
+
+def _euler_step(spec: GameSpec, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`step` without input checks, for valid float arrays."""
+    return np.clip(p + spec.h * _drift(spec, p, u), 0.0, spec.P_max)
 
 
 def discounted_payoff(spec: GameSpec, states, controls, horizon: int) -> np.ndarray:

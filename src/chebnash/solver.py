@@ -44,9 +44,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cheb1d import CoefVector, _transform_matrix, clenshaw, derivative_array, make_basis
+from .cheb1d import _transform_matrix, clenshaw, derivative_array, make_basis
 from .chebnd import CoefTensor, _row_basis, tensor_coeffs
-from .game import GameSpec, StateGrid, build_state_grid, dynamics, step
+from .game import (
+    GameSpec,
+    StateGrid,
+    _euler_step,
+    _stage_gain,
+    build_state_grid,
+    dynamics,
+)
 from .oracle import lq_solve
 
 _CLAMP_WARN_FRACTION = 0.01
@@ -58,13 +65,12 @@ _CLAMP_WARN_FRACTION = 0.01
 
 @dataclass
 class ValueField:
-    """Per-player value node values (J, N_P) and state-space interpolants.
+    """Per-player value node values, shape (J, N_P).
 
-    The solver reads only `values`; it fits `interpolants` for its results.
+    :func:`fit_policy` fits their state-space interpolants.
     """
 
     values: np.ndarray
-    interpolants: list[CoefTensor]
 
 
 @dataclass
@@ -119,13 +125,12 @@ class _PlayerWork:
 
     __slots__ = ("K", "u_nodes", "M0", "stage")
 
-    def __init__(self, spec: GameSpec, grid: StateGrid, i: int, M0: np.ndarray):
-        self.K = int(spec.Nu[i]) + 1
-        self.u_nodes = make_basis(int(spec.Nu[i]), 0.0, spec.U_max).nodes
+    def __init__(self, spec: GameSpec, grid: StateGrid, i: int, u_nodes: np.ndarray,
+                 M0: np.ndarray):
+        self.K = u_nodes.size
+        self.u_nodes = u_nodes
         self.M0 = M0
-        gain = self.u_nodes * (spec.A[i] - 0.5 * self.u_nodes)
-        damage = 0.5 * spec.phi[i] * grid.nodes[:, i] ** 2
-        self.stage = spec.h * (gain[None, :] - damage[:, None])
+        self.stage = spec.h * _stage_gain(spec, i, grid.nodes[:, i, None], self.u_nodes)
 
 
 class _Workspace:
@@ -137,10 +142,13 @@ class _Workspace:
         self.u_scale = 2.0 / spec.U_max
         self.p_scale = 2.0 / spec.P_max
         # One samples -> coefficients matrix per distinct degree, shared by
-        # the control fits and the state axes.
+        # the control fits and the state axes, and one set of control nodes
+        # per distinct control degree.
         matrices = {d: _transform_matrix(d) for d in {*spec.Np.tolist(), *spec.Nu.tolist()}}
+        nodes = {d: make_basis(d, 0.0, spec.U_max).nodes for d in set(spec.Nu.tolist())}
         self.players = [
-            _PlayerWork(spec, grid, i, matrices[int(spec.Nu[i])]) for i in range(spec.J)
+            _PlayerWork(spec, grid, i, nodes[d], matrices[d])
+            for i, d in enumerate(spec.Nu.tolist())
         ]
         self.transforms = [matrices[int(d)] for d in spec.Np]
 
@@ -173,19 +181,16 @@ def _colleague_roots(q: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(C).real
 
 
-def _maximise_block(
-    coef: np.ndarray, extra: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _maximise_block(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Global maximum of each row of (m, L) interpolants over [-1, 1].
 
     The candidates are the real parts of all roots of the derivative,
     clipped to [-1, 1] and polished by two Newton steps on the derivative,
-    both endpoints and the optional (m, k) `extra` points.  Returns the
-    best candidate of each row and the interpolant there.
+    and both endpoints.  Returns the best candidate of each row and the
+    interpolant there.
     """
     m, L = coef.shape
-    ends = np.broadcast_to([-1.0, 1.0], (m, 2))
-    cands = [ends] if extra is None else [ends, extra]
+    cands = [np.broadcast_to([-1.0, 1.0], (m, 2))]
     if L > 2:
         q1 = derivative_array(coef)
         q2 = derivative_array(q1)
@@ -202,32 +207,6 @@ def _maximise_block(
     f = clenshaw(coef.T[:, :, None], x)
     best = np.argmax(f, axis=1)[:, None]
     return np.take_along_axis(x, best, 1)[:, 0], np.take_along_axis(f, best, 1)[:, 0]
-
-
-def newton_maximize(coeffs: CoefVector, u0: float) -> tuple[float, float]:
-    """Global maximiser of a 1-D interpolant over its interval.
-
-    Parameters
-    ----------
-    coeffs : CoefVector
-        Objective interpolant on an interval [a, b] (the control interval
-        [0, U_max] in the solver).
-    u0 : float
-        A point in interval units, taken as one more candidate.
-
-    Returns
-    -------
-    (u_star, value)
-        Maximising abscissa in interval units and the interpolant value
-        there: the global maximum up to rounding, found among the
-        polished critical points, both endpoints and `u0`.
-    """
-    basis = coeffs.basis
-    x0 = (2.0 * float(u0) - (basis.a + basis.b)) / (basis.b - basis.a)
-    coef = coeffs.coefficients[None, :]
-    x, f = _maximise_block(coef, np.array([[np.clip(x0, -1.0, 1.0)]]))
-    u = 0.5 * (basis.b - basis.a) * float(x[0]) + 0.5 * (basis.a + basis.b)
-    return u, float(f[0])
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +311,8 @@ def bellman_sweep(
     All players respond to the iteration-r fields; of `values` the sweep
     reads only the node values `values.values`.
     """
-    ws = _Workspace(spec, grid)
-    u_new, v_new, _ = _run_sweep(ws, values.values, policy.values)
-    values = ValueField(values=v_new, interpolants=_interpolants(grid, v_new))
-    return values, PolicyField(values=u_new)
+    u_new, v_new, _ = _run_sweep(_Workspace(spec, grid), values.values, policy.values)
+    return ValueField(values=v_new), PolicyField(values=u_new)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +462,6 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     if fallback is not None and not converged:
         # Report the last sweep's output, not the untested proposal.
         v_values, u_values = fallback[0], fallback[1]
-    values = ValueField(values=v_values, interpolants=_interpolants(grid, v_values))
     if clamp_fraction > _CLAMP_WARN_FRACTION:
         warnings.warn(
             f"{clamp_fraction:.1%} of successor-state samples clamped to the state box; "
@@ -497,7 +473,7 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     return EquilibriumResult(
         converged=converged,
         iterations=iterations,
-        values=values,
+        values=ValueField(values=v_values),
         policy=PolicyField(values=u_values),
         history=np.array(history).reshape(-1, spec.J),
         timings={"setup": t_setup - t_begin, "start": t_start - t_setup,
@@ -512,14 +488,12 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
 # trajectory simulation
 # ---------------------------------------------------------------------------
 
-def _interpolants(grid: StateGrid, node_values: np.ndarray) -> list[CoefTensor]:
-    """State-space interpolants of per-player (J, N_P) node values."""
-    return [tensor_coeffs(v.reshape(grid.shape, order="F"), grid.bases) for v in node_values]
+def fit_policy(grid: StateGrid, field: PolicyField | ValueField) -> list[CoefTensor]:
+    """State-space interpolants of a per-player (J, N_P) node field.
 
-
-def fit_policy(grid: StateGrid, policy: PolicyField) -> list[CoefTensor]:
-    """State-space interpolants of the per-player policy node values."""
-    return _interpolants(grid, policy.values)
+    `field` is a :class:`PolicyField` or a :class:`ValueField`.
+    """
+    return [tensor_coeffs(v.reshape(grid.shape, order="F"), grid.bases) for v in field.values]
 
 
 def simulate(
@@ -543,6 +517,8 @@ def simulate(
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     coefs = np.stack([pt.coefficients for pt in policies], axis=-1)
+    if coefs.ndim != J + 1 or not np.all(np.isfinite(coefs)):
+        raise ValueError(f"policies must be finite interpolants on the {J}-D state box")
     sizes = [b.size for b in policies[0].bases]
     t = np.arange(n_steps + 1) * spec.h
     states = np.empty((n_steps + 1, J))
@@ -559,5 +535,5 @@ def simulate(
         u = np.clip(c, 0.0, spec.U_max)
         controls[nstep] = u
         if nstep < n_steps:
-            p = step(spec, p, u)
+            p = _euler_step(spec, p, u)
     return TimePath(t=t, states=states, controls=controls)

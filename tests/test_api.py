@@ -1,0 +1,29 @@
+"""The package's public names, pinned so that adding or removing one is deliberate."""
+
+import types
+
+import chebnash
+
+PUBLIC = {
+    # 1-D and tensor-product Chebyshev interpolation
+    "ChebBasis1D", "CoefVector", "make_basis", "to_reference", "coeffs_from_samples",
+    "eval_1d", "derivative_coeffs", "CoefTensor", "basis_matrix", "tensor_coeffs",
+    "eval_full",
+    # the game
+    "GameSpec", "StateGrid", "build_state_grid", "dynamics", "stage_payoff", "step",
+    "discounted_payoff", "preset_spec", "spec_from_dict", "spec_to_dict",
+    # the solver and its results
+    "solve", "bellman_sweep", "fit_policy", "simulate", "EquilibriumResult",
+    "ValueField", "PolicyField", "TimePath",
+    # the LQ oracle
+    "LQFeedback", "lq_solve", "lq_bellman_update", "policy_error",
+}
+
+
+def test_all_lists_exactly_the_public_names():
+    exported = {
+        name for name, value in vars(chebnash).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(chebnash.__all__) == len(set(chebnash.__all__))
+    assert set(chebnash.__all__) == exported == PUBLIC

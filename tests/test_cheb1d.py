@@ -9,7 +9,6 @@ from chebnash.cheb1d import (
     coeffs_from_samples,
     derivative_coeffs,
     eval_1d,
-    from_reference,
     make_basis,
     to_reference,
 )
@@ -75,12 +74,6 @@ def test_make_basis_rejects_bad_interval(a, b):
 def test_make_basis_rejects_negative_degree():
     with pytest.raises(ValueError):
         make_basis(-1, 0.0, 1.0)
-
-
-def test_reference_map_round_trip():
-    b = make_basis(5, -2.0, 7.0)
-    x = np.linspace(-2.0, 7.0, 13)
-    np.testing.assert_allclose(from_reference(b, to_reference(b, x)), x, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

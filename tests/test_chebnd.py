@@ -1,10 +1,10 @@
-"""Unit tests for tensor-product interpolation and axis-wise evaluation."""
+"""Unit tests for tensor-product interpolation and its evaluation."""
 
 import numpy as np
 import pytest
 
 from chebnash.cheb1d import coeffs_from_samples, make_basis, to_reference
-from chebnash.chebnd import CoefTensor, basis_matrix, eval_axis, eval_full, tensor_coeffs
+from chebnash.chebnd import CoefTensor, basis_matrix, eval_full, tensor_coeffs
 
 
 def grid_samples(fn, bases):
@@ -77,53 +77,17 @@ def test_interpolation_invariant_at_node_tuples():
         assert eval_full(t, point) == pytest.approx(samples[idx], rel=1e-10, abs=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# eval_axis
-# ---------------------------------------------------------------------------
-
-def test_eval_axis_at_own_nodes_reproduces_samples():
-    rng = np.random.default_rng(33)
-    bases = (make_basis(4, -1.0, 1.0), make_basis(3, -1.0, 1.0))
-    samples = rng.standard_normal((5, 4))
-    t = tensor_coeffs(samples, bases)
-    rows = eval_axis(t, to_reference(bases[0], bases[0].nodes))   # (4, 5): dim2 coeffs x points
-    for k in range(5):
-        line = coeffs_from_samples(samples[k], bases[1]).coefficients
-        np.testing.assert_allclose(rows[:, k], line, atol=1e-10)
-
-
-def test_eval_axis_single_point_composes_to_eval_full():
-    rng = np.random.default_rng(34)
-    bases = (make_basis(3, -1.0, 1.0), make_basis(5, -1.0, 1.0))
-    t = tensor_coeffs(rng.standard_normal((4, 6)), bases)
-    x, y = 0.37, -0.21
-    bound = eval_axis(t, [x])                     # (6, 1)
-    inner = CoefTensor((bases[1],), np.ascontiguousarray(bound[:, 0]))
-    assert eval_full(inner, [y]) == pytest.approx(eval_full(t, [x, y]), abs=1e-13)
-
-
-def test_eval_axis_degree_zero_rows_equal_coefficient_slice():
-    bases = (make_basis(0, -1.0, 1.0), make_basis(2, -1.0, 1.0))
-    coefs = np.arange(3.0).reshape(1, 3)
-    t = CoefTensor(bases, coefs)
-    out = eval_axis(t, [-0.5, 0.0, 0.9])
-    for j in range(3):
-        np.testing.assert_allclose(out[:, j], coefs[0], atol=1e-15)
-
-
-def test_eval_axis_rejects_empty_and_out_of_range():
-    t = CoefTensor((make_basis(2, -1, 1),), np.ones(3))
-    with pytest.raises(ValueError):
-        eval_axis(t, [])
-    with pytest.raises(ValueError):
-        eval_axis(t, [1.5])
-
-
 def test_basis_matrix_matches_trig():
     pts = np.linspace(-1, 1, 9)
     B = basis_matrix(pts, 6)
     expect = np.cos(np.arange(7)[None, :] * np.arccos(pts)[:, None])
     np.testing.assert_allclose(B, expect, atol=1e-13)
+
+
+@pytest.mark.parametrize("points", [[], [1.5], [[0.1, 0.2]], [np.nan]])
+def test_basis_matrix_rejects_empty_out_of_range_and_nested_points(points):
+    with pytest.raises(ValueError):
+        basis_matrix(points, 3)
 
 
 # ---------------------------------------------------------------------------

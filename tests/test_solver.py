@@ -11,8 +11,9 @@ from chebnash.cheb1d import (
     coeffs_from_samples,
     derivative_array,
     make_basis,
+    to_reference,
 )
-from chebnash.chebnd import basis_matrix, eval_full, tensor_coeffs
+from chebnash.chebnd import CoefTensor, basis_matrix, eval_full, tensor_coeffs
 from chebnash.game import GameSpec, build_state_grid, discounted_payoff, dynamics
 from chebnash.oracle import lq_solve
 from chebnash.presets import preset_spec
@@ -25,7 +26,6 @@ from chebnash.solver import (
     _Workspace,
     bellman_sweep,
     fit_policy,
-    newton_maximize,
     simulate,
     solve,
 )
@@ -59,16 +59,23 @@ def _fit_objective(fn, degree, hi):
     return coeffs_from_samples(fn(basis.nodes), basis)
 
 
+def _maximise(c):
+    """`_maximise_block` on one interpolant: (maximiser in interval units, maximum)."""
+    x, f = _maximise_block(c.coefficients[None, :])
+    b = c.basis
+    return 0.5 * (b.b - b.a) * float(x[0]) + 0.5 * (b.a + b.b), float(f[0])
+
+
 def test_newton_finds_parabola_vertex():
     c = _fit_objective(lambda u: u * (0.5 - u / 2), 4, 1.0)
-    u, val = newton_maximize(c, 0.9)
+    u, val = _maximise(c)
     assert u == pytest.approx(0.5, abs=1e-10)
     assert val == pytest.approx(0.125, abs=1e-12)
 
 
 def test_newton_boundary_maximiser():
     c = _fit_objective(lambda u: -2.0 * u + 0.1 * u**2, 3, 1.0)
-    u, val = newton_maximize(c, 0.5)
+    u, val = _maximise(c)
     assert u == 0.0
     assert val == pytest.approx(0.0, abs=1e-12)
 
@@ -79,7 +86,7 @@ def test_newton_matches_dense_grid_scan():
     xs = np.linspace(0.0, 1.0, 100_001)
     for _ in range(20):
         coef = CoefVector(rng.standard_normal(7), basis)
-        u, val = newton_maximize(coef, 0.5)
+        u, val = _maximise(coef)
         ref = (2.0 * xs - 1.0)
         scan = clenshaw(coef.coefficients, ref)
         assert val >= scan.max() - 1e-6
@@ -104,7 +111,7 @@ def test_parabola_with_zeroed_top_coefficients():
     coef[3:] = 0.0
     assert derivative_array(coef)[-1] == 0.0
     assert np.all(np.isfinite(_colleague_roots(derivative_array(coef)[None, :])))
-    u, val = newton_maximize(CoefVector(coef, c.basis), 0.9)
+    u, val = _maximise(CoefVector(coef, c.basis))
     assert u == pytest.approx(0.5, abs=1e-12)
     assert val == pytest.approx(0.125, abs=1e-12)
 
@@ -137,10 +144,8 @@ def test_linear_rows_take_the_higher_end():
 # ---------------------------------------------------------------------------
 
 def _zero_fields(spec, grid):
-    shape = tuple(b.size for b in grid.bases)
     zeros = np.zeros((spec.J, grid.n_nodes))
-    interp = [tensor_coeffs(np.zeros(shape), grid.bases) for _ in range(spec.J)]
-    return ValueField(values=zeros.copy(), interpolants=interp), PolicyField(values=zeros.copy())
+    return ValueField(values=zeros.copy()), PolicyField(values=zeros.copy())
 
 
 def test_first_sweep_from_zero_recovers_myopic_policy():
@@ -161,13 +166,12 @@ def test_value_field_interpolants_reproduce_node_values():
     spec = fast_spec(Np=3, Nu=3)
     result = solve_quiet(spec)
     grid = build_state_grid(spec)
-    from chebnash.cheb1d import to_reference
-
+    interpolants = fit_policy(grid, result.values)
     refs = np.stack(
         [to_reference(grid.bases[d], grid.nodes[:, d]) for d in range(2)], axis=-1
     )
     for i in range(2):
-        got = np.array([eval_full(result.values.interpolants[i], r) for r in refs])
+        got = np.array([eval_full(interpolants[i], r) for r in refs])
         np.testing.assert_allclose(got, result.values.values[i], rtol=1e-10, atol=1e-12)
 
 
@@ -212,7 +216,7 @@ def test_sweep_values_match_pointwise_successor_evaluation():
     rng = np.random.default_rng(11)
     v = rng.standard_normal((spec.J, grid.n_nodes))
     u = rng.uniform(0.0, spec.U_max, (spec.J, grid.n_nodes))
-    swept, _ = bellman_sweep(spec, grid, ValueField(v, []), PolicyField(u))
+    swept, _ = bellman_sweep(spec, grid, ValueField(v), PolicyField(u))
     for i, pw in enumerate(ws.players):
         succ = _pointwise_successor_values(spec, grid, i, v[i], u, pw.u_nodes)
         objective = spec.delta * (pw.stage + succ)
@@ -259,6 +263,41 @@ def test_three_player_chain_symmetry_at_nodes():
     u0 = result.policy.values[0].reshape(3, 3, 3, order="F")
     u2 = result.policy.values[2].reshape(3, 3, 3, order="F")
     np.testing.assert_allclose(u0, u2.transpose(2, 1, 0), atol=1e-8)
+
+
+def _relabelled_games(seed):
+    """A random game with symmetric K, the same game with its players relabelled, and
+    the relabelling: player k of the second game is player perm[k] of the first."""
+    rng = np.random.default_rng(seed)
+    J = int(rng.integers(2, 4))
+    upper = np.triu(rng.uniform(0.0, 2.0, (J, J)), 1)
+    off = upper + upper.T
+    K = off - np.diag(off.sum(axis=1) + rng.uniform(0.0, 1.0, J))
+    players = dict(beta=rng.uniform(0.5, 1.5, J), phi=rng.uniform(0.5, 1.5, J),
+                   A=rng.uniform(0.3, 0.6, J), c=rng.uniform(0.2, 0.8, J),
+                   m=rng.uniform(0.5, 2.0, J), Np=rng.integers(1, 5, J))
+    common = dict(J=J, rho=rng.uniform(0.1, 1.0), h=1e-2, P_max=rng.uniform(0.5, 1.5),
+                  U_max=0.7, Nu=3, tol=1e-6, max_iters=2000)
+    perm = rng.permutation(J)
+    if np.all(perm == np.arange(J)):
+        perm = perm[::-1]
+    relabelled = GameSpec(K=K[np.ix_(perm, perm)], **{k: v[perm] for k, v in players.items()},
+                          **common)
+    return GameSpec(K=K, **players, **common), relabelled, perm
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_is_equivariant_under_player_relabelling(seed):
+    spec, relabelled, perm = _relabelled_games(seed)
+    a, b = solve_quiet(spec), solve_quiet(relabelled)
+    assert a.converged and b.converged
+    # Axis k of the relabelled grid is axis perm[k] of the original one.
+    shape = tuple(int(n) + 1 for n in spec.Np)
+    for fa, fb in ((a.values.values, b.values.values), (a.policy.values, b.policy.values)):
+        for k in range(spec.J):
+            moved = fa[perm[k]].reshape(shape, order="F").transpose(perm)
+            got = fb[k].reshape(moved.shape, order="F")
+            np.testing.assert_allclose(got, moved, rtol=0, atol=1e-9)
 
 
 def test_contraction_of_sup_differences():
@@ -484,6 +523,25 @@ def test_simulate_rejects_non_finite_start(p0, n_steps):
     policies = fit_policy(grid, PolicyField(values=np.zeros((2, grid.n_nodes))))
     with pytest.raises(ValueError, match="p0"):
         simulate(spec, policies, p0, n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [0, 5])
+def test_simulate_rejects_non_finite_policy_coefficient(n_steps):
+    spec = fast_spec(Np=2, Nu=2)
+    grid = build_state_grid(spec)
+    policies = fit_policy(grid, PolicyField(values=np.full((2, grid.n_nodes), 0.25)))
+    coef = policies[1].coefficients.copy()
+    coef[1, 2] = np.nan
+    policies[1] = CoefTensor(grid.bases, coef)
+    with pytest.raises(ValueError, match="policies"):
+        simulate(spec, policies, np.full(2, 0.1), n_steps)
+
+
+def test_simulate_rejects_policies_of_another_dimension():
+    spec = fast_spec(Np=2, Nu=2)
+    line = CoefTensor(build_state_grid(spec).bases[:1], np.full(3, 0.25))
+    with pytest.raises(ValueError, match="policies"):
+        simulate(spec, [line, line], np.full(2, 0.1), 5)
 
 
 @pytest.mark.parametrize("n_steps", [-1, -5])
