@@ -1,12 +1,16 @@
 """Tour of the Chebyshev machinery: nodes, transforms, derivatives, tensors.
 
+A 1-D interpolant is the one-axis case of the tensor-product one: it is
+fitted with ``tensor_coeffs(samples, (basis,))`` and evaluated with the
+Chebyshev rows of ``basis_matrix``.
+
 Run:  python demos/01_interpolation_basics.py
 """
 
 import numpy as np
 
 import chebnash as cn
-from chebnash.cheb1d import to_reference
+from chebnash.cheb1d import derivative_array, to_reference
 
 print("=" * 64)
 print("1-D interpolation on an interval")
@@ -16,9 +20,9 @@ basis = cn.make_basis(10, 0.0, 2.0)
 print(f"degree {basis.degree} basis on [{basis.a}, {basis.b}]")
 print("first nodes (descending):", np.round(basis.nodes[:4], 6), "...")
 
-coef = cn.coeffs_from_samples(np.sin(3.0 * basis.nodes), basis)
+coef = cn.tensor_coeffs(np.sin(3.0 * basis.nodes), (basis,)).coefficients
 xs = np.linspace(0.0, 2.0, 7)
-approx = cn.eval_1d(coef, to_reference(basis, xs))
+approx = cn.basis_matrix(to_reference(basis, xs), basis.degree) @ coef
 print(f"{'x':>6} {'sin(3x)':>12} {'interpolant':>12} {'error':>10}")
 for x, a in zip(xs, approx):
     print(f"{x:6.3f} {np.sin(3 * x):12.8f} {a:12.8f} {abs(a - np.sin(3 * x)):10.2e}")
@@ -27,14 +31,14 @@ print("\nconvergence of the max error with the degree:")
 grid = np.linspace(0.0, 2.0, 1001)
 for n in (4, 8, 12, 16, 20):
     b = cn.make_basis(n, 0.0, 2.0)
-    c = cn.coeffs_from_samples(np.sin(3.0 * b.nodes), b)
-    err = np.max(np.abs(cn.eval_1d(c, to_reference(b, grid)) - np.sin(3.0 * grid)))
+    c = cn.tensor_coeffs(np.sin(3.0 * b.nodes), (b,)).coefficients
+    err = np.max(np.abs(cn.basis_matrix(to_reference(b, grid), n) @ c - np.sin(3.0 * grid)))
     print(f"  degree {n:2d}: {err:9.2e}")
 
 print("\nderivative in coefficient space (chain-rule factor 2/(b-a)):")
-dcoef = cn.derivative_coeffs(coef)
+dcoef = derivative_array(coef)
 scale = 2.0 / (basis.b - basis.a)
-dx = scale * cn.eval_1d(dcoef, to_reference(basis, xs))
+dx = scale * (cn.basis_matrix(to_reference(basis, xs), basis.degree - 1) @ dcoef)
 print("max |d/dx - 3 cos(3x)| on the sample points:",
       f"{np.max(np.abs(dx - 3.0 * np.cos(3.0 * xs))):.2e}")
 

@@ -12,15 +12,7 @@ space; where its feedback stays inside the control box it also serves as
 an exact oracle.
 """
 
-from .cheb1d import (
-    ChebBasis1D,
-    CoefVector,
-    coeffs_from_samples,
-    derivative_coeffs,
-    eval_1d,
-    make_basis,
-    to_reference,
-)
+from .cheb1d import ChebBasis1D, make_basis, to_reference
 from .chebnd import (
     CoefTensor,
     basis_matrix,
@@ -54,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChebBasis1D",
     "CoefTensor",
-    "CoefVector",
     "EquilibriumResult",
     "GameSpec",
     "LQFeedback",
@@ -65,11 +56,8 @@ __all__ = [
     "basis_matrix",
     "bellman_sweep",
     "build_state_grid",
-    "coeffs_from_samples",
-    "derivative_coeffs",
     "discounted_payoff",
     "dynamics",
-    "eval_1d",
     "eval_full",
     "fit_policy",
     "lq_bellman_update",

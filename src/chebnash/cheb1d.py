@@ -1,4 +1,4 @@
-"""One-dimensional Chebyshev interpolation on arbitrary intervals.
+"""One-dimensional Chebyshev building blocks of the tensor-product interpolant.
 
 Nodes are the extrema of the degree-N Chebyshev polynomial mapped affinely
 to an interval [a, b] and stored in descending order (node 0 is b, node N
@@ -7,8 +7,12 @@ with halved first and last summands, applied as one matrix
 (:func:`_transform_matrix`).  Evaluation uses the Clenshaw backward
 recurrence and derivatives are taken in coefficient space.
 
-All functions here work in the reference variable x in [-1, 1]; use
-:func:`to_reference` to map interval points to it.
+A 1-D interpolant is the one-axis case of :mod:`chebnash.chebnd`:
+``tensor_coeffs(samples, (basis,))`` fits it, ``basis_matrix(x, degree)
+@ coefficients`` or ``eval_full`` evaluates it, and
+:func:`derivative_array` differentiates it.  All functions here work in
+the reference variable x in [-1, 1]; use :func:`to_reference` to map
+interval points to it.
 """
 
 from __future__ import annotations
@@ -51,24 +55,6 @@ class ChebBasis1D:
         return self.degree + 1
 
 
-@dataclass(frozen=True)
-class CoefVector:
-    """Chebyshev coefficients of a 1-D interpolant on a source basis."""
-
-    coefficients: np.ndarray
-    basis: ChebBasis1D
-
-    def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=float)
-        if coef.ndim != 1 or coef.size != self.basis.size:
-            raise ValueError(
-                f"expected {self.basis.size} coefficients, got shape {coef.shape}"
-            )
-        if not np.all(np.isfinite(coef)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coefficients", _freeze(coef))
-
-
 def make_basis(degree: int, a: float, b: float) -> ChebBasis1D:
     """Build the Chebyshev extrema basis of a given degree on [a, b].
 
@@ -108,12 +94,12 @@ def to_reference(basis: ChebBasis1D, x):
     return (2.0 * np.asarray(x, dtype=float) - (basis.a + basis.b)) / (basis.b - basis.a)
 
 
-def clamp_reference(x, tol: float = CLAMP_TOL):
-    """Clip reference points to [-1, 1]; reject points farther than `tol` out."""
+def clamp_reference(x):
+    """Clip reference points to [-1, 1]; reject points farther than `CLAMP_TOL` out."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("evaluation points must be finite")
-    if np.any(np.abs(x) > 1.0 + tol):
+    if np.any(np.abs(x) > 1.0 + CLAMP_TOL):
         worst = float(np.max(np.abs(x)))
         raise ValueError(f"evaluation point outside [-1, 1] beyond tolerance: |x| = {worst}")
     return np.clip(x, -1.0, 1.0)
@@ -135,57 +121,30 @@ def _transform_matrix(n: int) -> np.ndarray:
     return s[:, None] * w[None, :] * np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n)
 
 
-def cheb_transform(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Samples at Chebyshev nodes -> interpolation coefficients, along one axis.
+def cheb_transform(values: np.ndarray) -> np.ndarray:
+    """Samples at Chebyshev nodes -> interpolation coefficients, along axis 0.
 
-    Applies the matrix of :func:`_transform_matrix` along `axis`: entry l
-    of the result is the coefficient of T_l, the direct cosine sum that
-    halves the first and last samples and uses weight 1/N for l in {0, N}
-    and 2/N otherwise.
+    Applies the matrix of :func:`_transform_matrix` along the leading axis:
+    entry l of the result is the coefficient of T_l, the direct cosine sum
+    that halves the first and last samples and uses weight 1/N for l in
+    {0, N} and 2/N otherwise.
 
     Parameters
     ----------
     values : ndarray
-        Samples ordered by node index k = 0..N along `axis` (node 0 is the
-        right endpoint).
-    axis : int
-        Axis holding the node index.
+        Samples ordered by node index k = 0..N along axis 0 (node 0 is the
+        right endpoint); trailing axes are carried along.
 
     Returns
     -------
     ndarray
-        Same shape as `values`, with coefficients along `axis`.
+        Same shape as `values`, with coefficients along axis 0.
     """
     v = np.asarray(values, dtype=float)
-    n = v.shape[axis] - 1
+    n = v.shape[0] - 1
     if n < 0:
         raise ValueError("need at least one sample")
-    return np.moveaxis(np.tensordot(_transform_matrix(n), v, axes=(1, axis)), 0, axis)
-
-
-def coeffs_from_samples(samples, basis: ChebBasis1D) -> CoefVector:
-    """Interpolation coefficients from samples at the basis nodes.
-
-    Parameters
-    ----------
-    samples : array_like
-        N + 1 values of the target function at ``basis.nodes`` (node order,
-        i.e. descending abscissae).
-    basis : ChebBasis1D
-        Basis whose nodes produced the samples.
-
-    Returns
-    -------
-    CoefVector
-        Coefficients p_0..p_N of sum_l p_l T_l(x) with x the reference
-        variable; the polynomial reproduces every sample at its node.
-    """
-    s = np.asarray(samples, dtype=float)
-    if s.ndim != 1 or s.size != basis.size:
-        raise ValueError(f"expected {basis.size} samples, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("samples must be finite")
-    return CoefVector(cheb_transform(s), basis)
+    return np.tensordot(_transform_matrix(n), v, axes=(1, 0))
 
 
 def clenshaw(coefficients: np.ndarray, x) -> np.ndarray:
@@ -205,19 +164,6 @@ def clenshaw(coefficients: np.ndarray, x) -> np.ndarray:
     for k in range(n, 0, -1):
         b1, b2 = c[k] + x2 * b1 - b2, b1
     return c[0] + x * b1 - b2
-
-
-def eval_1d(coeffs: CoefVector, x):
-    """Evaluate a 1-D interpolant at reference points x in [-1, 1].
-
-    Points up to 1e-12 outside the interval are clamped; farther out raises
-    ValueError.  Returns a scalar for scalar input, an array otherwise.
-    """
-    xc = clamp_reference(x)
-    out = clenshaw(coeffs.coefficients, xc)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def derivative_array(coefficients: np.ndarray) -> np.ndarray:
@@ -241,19 +187,3 @@ def derivative_array(coefficients: np.ndarray) -> np.ndarray:
     q[..., 0] *= 0.5
     return q
 
-
-def derivative_coeffs(coeffs: CoefVector) -> CoefVector:
-    """Coefficient-space derivative of a 1-D interpolant.
-
-    Returns q_0..q_{N-1} such that (2/(b-a)) * sum_l q_l T_l(x) is the
-    derivative of the input polynomial with respect to the interval
-    variable.  The chain-rule factor is left to the caller so that the
-    coefficients are reusable on any rescaling of the same interval.
-    """
-    if coeffs.coefficients.size == 0:
-        raise ValueError("empty coefficient vector")
-    basis = coeffs.basis
-    if basis.degree < 1:
-        raise ValueError("derivative needs a basis of degree >= 1")
-    q = derivative_array(coeffs.coefficients)
-    return CoefVector(q, make_basis(basis.degree - 1, basis.a, basis.b))

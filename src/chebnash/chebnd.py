@@ -1,12 +1,14 @@
-"""Tensor-product Chebyshev interpolation in n dimensions.
+"""Tensor-product Chebyshev interpolation in n >= 1 dimensions.
 
-Coefficient tensors are built by applying the 1-D transform along the
-leading axis and cyclically rotating the axes until every dimension has
-been processed.  :func:`eval_full` evaluates one tensor at one point by
-nested Clenshaw contractions, and :func:`basis_matrix` gives the rows
-B[j, l] = T_l(x_j) that bind an axis at many points in one contraction.
-The solver evaluates its interpolants from node values instead, through
-the per-axis Chebyshev rows of :func:`_row_basis`.
+:class:`CoefTensor` is the one coefficient container; a 1-D interpolant
+is the tensor with a single basis.  Coefficient tensors are built by
+applying the 1-D transform along the leading axis and cyclically
+rotating the axes until every dimension has been processed.
+:func:`eval_full` evaluates one tensor at one point by nested Clenshaw
+contractions, and :func:`basis_matrix` gives the rows B[j, l] = T_l(x_j)
+that bind an axis at many points in one contraction.  The solver
+evaluates its interpolants from node values instead, through the
+per-axis Chebyshev rows of :func:`_row_basis`.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def tensor_coeffs(samples, bases) -> CoefTensor:
         raise ValueError("samples must be finite")
     n = len(bases)
     for _ in range(n):
-        s = cheb_transform(s, axis=0)
+        s = cheb_transform(s)
         s = np.moveaxis(s, 0, n - 1)
     return CoefTensor(bases, s)
 

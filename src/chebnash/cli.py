@@ -36,18 +36,22 @@ class ConfigError(Exception):
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind: type, what: str) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse number list {text!r}") from exc
+        raise ConfigError(f"cannot parse {what} list {text!r}") from exc
+    if not values:
+        raise ConfigError(f"empty {what} list {text!r}")
+    return values
+
+
+def _parse_floats(text: str) -> list[float]:
+    return _parse_list(text, float, "number")
 
 
 def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse integer list {text!r}") from exc
+    return _parse_list(text, int, "integer")
 
 
 def _resolve_config(args) -> dict:
@@ -135,16 +139,11 @@ def _write_run_json(out: Path, cfg: dict):
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     """Comma-separated, '.' decimals, one header row, LF endings."""
-    int_cols = {i for i, c in enumerate(columns) if np.issubdtype(np.asarray(c).dtype, np.integer)}
+    fmt = ["%d" if np.issubdtype(np.asarray(c).dtype, np.integer) else _FLOAT_FMT
+           for c in columns]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        n = len(np.asarray(columns[0]))
-        for r in range(n):
-            cells = [
-                (str(int(np.asarray(c)[r])) if i in int_cols else _FLOAT_FMT % np.asarray(c)[r])
-                for i, c in enumerate(columns)
-            ]
-            fh.write(",".join(cells) + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=",",
+                   header=",".join(header), comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +215,8 @@ def cmd_simulate(args) -> int:
     )
     if policy_values.shape[1] != grid.n_nodes:
         raise ConfigError("policy.csv does not match the configured grid")
+    if not np.all(np.isfinite(policy_values)):
+        raise ConfigError(f"{policy_file} holds a non-numeric or non-finite control")
     policies = fit_policy(grid, PolicyField(values=policy_values))
     p0 = np.asarray(cfg["p0"], dtype=float)
     horizon = float(cfg["sim_horizon"])
@@ -312,8 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)   # the list parsers raise ConfigError
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

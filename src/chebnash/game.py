@@ -210,6 +210,6 @@ def discounted_payoff(spec: GameSpec, states, controls, horizon: int) -> np.ndar
         return np.zeros(spec.J)
     ps = p[1 : horizon + 1]
     us = u[1 : horizon + 1]
-    gains = us * (spec.A - 0.5 * us) - 0.5 * spec.phi * ps**2
+    gains = np.stack([_stage_gain(spec, i, ps[:, i], us[:, i]) for i in range(spec.J)], axis=1)
     weights = spec.delta ** np.arange(1, horizon + 1)
     return spec.h * (weights @ gains)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import chebnash as cn
-from chebnash.cheb1d import to_reference
+from chebnash.cheb1d import derivative_array, to_reference
 from chebnash.chebnd import eval_full
 from chebnash.solver import _Workspace, _cardinal_matrix, _cardinal_rows
 
@@ -84,7 +84,7 @@ def test_criterion_02_transform_equivalence():
         n = int(rng.integers(1, 65))
         samples = rng.standard_normal(n + 1)
         basis = cn.make_basis(n, -1.0, 1.0)
-        matrix_path = cn.coeffs_from_samples(samples, basis).coefficients
+        matrix_path = cn.tensor_coeffs(samples, (basis,)).coefficients
         k = np.arange(n + 1)
         w = np.ones(n + 1)
         w[0] = w[-1] = 0.5
@@ -141,14 +141,14 @@ def test_criterion_04_derivative_check():
         a = rng.uniform(-3.0, 1.0)
         b = a + rng.uniform(0.5, 4.0)
         basis = cn.make_basis(12, a, b)
-        coef = cn.CoefVector(rng.standard_normal(13), basis)
-        deriv = cn.derivative_coeffs(coef)
+        coef = rng.standard_normal(13)
+        deriv = derivative_array(coef)
         scale = 2.0 / (b - a)
         xs = np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 11)
-        got = scale * cn.eval_1d(deriv, to_reference(basis, xs))
+        got = scale * (cn.basis_matrix(to_reference(basis, xs), 11) @ deriv)
         fd = (
-            cn.eval_1d(coef, to_reference(basis, xs + fd_step))
-            - cn.eval_1d(coef, to_reference(basis, xs - fd_step))
+            cn.basis_matrix(to_reference(basis, xs + fd_step), 12) @ coef
+            - cn.basis_matrix(to_reference(basis, xs - fd_step), 12) @ coef
         ) / (2 * fd_step)
         np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-7)
     _report(4, "coefficient-space derivative matches finite differences")

@@ -6,9 +6,8 @@ import chebnash
 
 PUBLIC = {
     # 1-D and tensor-product Chebyshev interpolation
-    "ChebBasis1D", "CoefVector", "make_basis", "to_reference", "coeffs_from_samples",
-    "eval_1d", "derivative_coeffs", "CoefTensor", "basis_matrix", "tensor_coeffs",
-    "eval_full",
+    "ChebBasis1D", "make_basis", "to_reference", "CoefTensor", "basis_matrix",
+    "tensor_coeffs", "eval_full",
     # the game
     "GameSpec", "StateGrid", "build_state_grid", "dynamics", "stage_payoff", "step",
     "discounted_payoff", "preset_spec", "spec_from_dict", "spec_to_dict",

@@ -196,11 +196,19 @@ def test_simulate_without_policy_is_error(tmp_path, capsys):
     assert "solve" in capsys.readouterr().err
 
 
+def _last_cell_of_first_row(text, cell):
+    lines = text.splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + cell
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("run.json", lambda text: "{bad", "run.json"),
     ("policy.csv", lambda text: text.replace("u_2", "v_2", 1), "u_2"),
     ("policy.csv", lambda text: "", "policy.csv"),
-], ids=["run.json", "policy.csv", "empty-policy.csv"])
+    ("policy.csv", lambda text: _last_cell_of_first_row(text, "abc"), "non-finite control"),
+    ("policy.csv", lambda text: _last_cell_of_first_row(text, "nan"), "non-finite control"),
+], ids=["run.json", "policy.csv", "empty-policy.csv", "non-numeric-u", "nan-u"])
 @pytest.mark.filterwarnings("ignore:genfromtxt:UserWarning")
 def test_simulate_malformed_inputs_are_usage_errors(tmp_path, capsys, name, edit, message):
     out = tmp_path / "run"
@@ -238,8 +246,17 @@ def _simulate_edited_run(tmp_path, **edit):
      "J must be an integer"),
     (lambda tmp: _simulate_edited_run(tmp, sim_horizon=None), "sim_horizon"),
     (lambda tmp: _simulate_edited_run(tmp, p0=["a", "b"]), "p0"),
+    (lambda tmp: ["solve", "--preset", "example1", "--np", ",", "--out", str(tmp / "run")],
+     "empty integer list"),
+    (lambda tmp: ["solve", "--preset", "example1", "--nu", ",", "--out", str(tmp / "run")],
+     "empty integer list"),
+    (lambda tmp: ["solve", "--preset", "example1", "--np", "x", "--out", str(tmp / "run")],
+     "cannot parse integer list"),
+    (lambda tmp: ["compare", "--preset", "example1", "--np-list", ",",
+                  "--out", str(tmp / "run")], "empty integer list"),
 ], ids=["invalid-oracle", "np-list-0", "config-list", "game-list", "p0-number",
-        "J-string", "no-sim_horizon", "p0-strings"])
+        "J-string", "no-sim_horizon", "p0-strings", "np-empty", "nu-empty", "np-string",
+        "np-list-empty"])
 def test_malformed_input_is_usage_error_before_any_work(tmp_path, capsys, make_argv, message):
     argv = make_argv(tmp_path)
     capsys.readouterr()

@@ -5,14 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chebnash.cheb1d import (
-    CoefVector,
-    clenshaw,
-    coeffs_from_samples,
-    derivative_array,
-    make_basis,
-    to_reference,
-)
+from chebnash.cheb1d import clenshaw, derivative_array, make_basis, to_reference
 from chebnash.chebnd import CoefTensor, basis_matrix, eval_full, tensor_coeffs
 from chebnash.game import GameSpec, build_state_grid, discounted_payoff, dynamics
 from chebnash.oracle import lq_solve
@@ -56,36 +49,36 @@ def myopic_start(spec):
 
 def _fit_objective(fn, degree, hi):
     basis = make_basis(degree, 0.0, hi)
-    return coeffs_from_samples(fn(basis.nodes), basis)
+    return tensor_coeffs(fn(basis.nodes), (basis,))
 
 
 def _maximise(c):
     """`_maximise_block` on one interpolant: (maximiser in interval units, maximum)."""
     x, f = _maximise_block(c.coefficients[None, :])
-    b = c.basis
+    (b,) = c.bases
     return 0.5 * (b.b - b.a) * float(x[0]) + 0.5 * (b.a + b.b), float(f[0])
 
 
-def test_newton_finds_parabola_vertex():
+def test_maximiser_finds_parabola_vertex():
     c = _fit_objective(lambda u: u * (0.5 - u / 2), 4, 1.0)
     u, val = _maximise(c)
     assert u == pytest.approx(0.5, abs=1e-10)
     assert val == pytest.approx(0.125, abs=1e-12)
 
 
-def test_newton_boundary_maximiser():
+def test_maximiser_boundary_maximum():
     c = _fit_objective(lambda u: -2.0 * u + 0.1 * u**2, 3, 1.0)
     u, val = _maximise(c)
     assert u == 0.0
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
-def test_newton_matches_dense_grid_scan():
+def test_maximiser_matches_dense_grid_scan():
     rng = np.random.default_rng(14)
     basis = make_basis(6, 0.0, 1.0)
     xs = np.linspace(0.0, 1.0, 100_001)
     for _ in range(20):
-        coef = CoefVector(rng.standard_normal(7), basis)
+        coef = CoefTensor((basis,), rng.standard_normal(7))
         u, val = _maximise(coef)
         ref = (2.0 * xs - 1.0)
         scan = clenshaw(coef.coefficients, ref)
@@ -111,7 +104,7 @@ def test_parabola_with_zeroed_top_coefficients():
     coef[3:] = 0.0
     assert derivative_array(coef)[-1] == 0.0
     assert np.all(np.isfinite(_colleague_roots(derivative_array(coef)[None, :])))
-    u, val = _maximise(CoefVector(coef, c.basis))
+    u, val = _maximise(CoefTensor(c.bases, coef))
     assert u == pytest.approx(0.5, abs=1e-12)
     assert val == pytest.approx(0.125, abs=1e-12)
 
