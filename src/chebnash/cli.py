@@ -1,12 +1,24 @@
 """Command-line front end: solve, simulate and compare.
 
-Configuration is resolved in three layers: preset defaults, then an
-optional JSON config file, then command-line flags.  Every run writes a
-``run.json`` echoing the fully resolved configuration (schema_version 1);
-re-running from that file reproduces all numeric outputs bitwise.
+Each command takes only the flags it reads:
 
-Exit codes: 0 success/converged, 2 usage or configuration error,
-3 solver did not converge within max_iters.
+* ``solve``: ``--config --preset --out --np --nu --h --tol --rho --pm --um
+  --p0 --sim-horizon``;
+* ``simulate``: ``--out --p0 --sim-horizon``; the game and the solved
+  policy come from ``<out>/run.json`` and ``<out>/policy.csv``;
+* ``compare``: ``--config --preset --out --nu --h --tol --rho --pm --um
+  --np-list``.
+
+solve and compare resolve their run in three layers: preset defaults,
+then an optional JSON config file, then flags.  simulate starts from
+``<out>/run.json`` and applies its flags.  Every run is validated before
+any work.  solve and compare write a ``run.json`` echoing the resolved run
+(schema_version 1); compare's carries the degrees it ran as ``np_list``.
+Re-running either command with ``--config <out>/run.json`` reproduces its
+numeric outputs bitwise (compare's ``wall_time`` column aside).
+
+Exit codes: 0 success/converged, 2 usage or configuration error or an LQ
+start that does not settle, 3 solver did not converge within max_iters.
 """
 
 from __future__ import annotations
@@ -26,6 +38,13 @@ from .solver import PolicyField, fit_policy, simulate, solve
 
 SCHEMA_VERSION = 1
 _FLOAT_FMT = "%.16e"
+
+# Game flags (solve and compare) and the GameSpec fields they set.
+_GAME_FLAGS = {"np": "Np", "nu": "Nu", "h": "h", "tol": "tol", "rho": "rho",
+               "pm": "P_max", "um": "U_max"}
+# Run keys besides the game.  A command reads, and its run.json echoes,
+# exactly the keys it has a flag for.
+_RUN_KEYS = ("p0", "sim_horizon", "np_list")
 
 
 class ConfigError(Exception):
@@ -54,16 +73,19 @@ def _parse_ints(text: str) -> list[int]:
     return _parse_list(text, int, "integer")
 
 
-def _resolve_config(args) -> dict:
-    """Merge preset defaults, config file and flags into one run dict."""
-    file_cfg: dict = {}
-    if args.config:
-        try:
-            file_cfg = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config {args.config} must hold a JSON object")
+def _read_json(path) -> dict:
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:     # ValueError: bad JSON or encoding
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return data
+
+
+def _new_run(args, keys: list[str]) -> dict:
+    """solve's or compare's base run: preset defaults overlaid by --config."""
+    file_cfg = _read_json(args.config) if args.config else {}
     preset = args.preset or file_cfg.get("preset") or "custom"
     if preset != "custom" and preset not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset!r}")
@@ -78,53 +100,67 @@ def _resolve_config(args) -> dict:
     if not game:
         raise ConfigError("custom runs need a config file with a full 'game' section")
 
-    flag_map = {"h": args.h, "tol": args.tol, "rho": args.rho,
-                "P_max": args.pm, "U_max": args.um}
-    for key, val in flag_map.items():
-        if val is not None:
-            game[key] = val
-    if args.np is not None:
-        game["Np"] = args.np if len(args.np) > 1 else args.np[0]
-    if args.nu is not None:
-        game["Nu"] = args.nu if len(args.nu) > 1 else args.nu[0]
-
-    if "p0" in file_cfg:
-        p0 = file_cfg["p0"]
-    else:
+    defaults = {"sim_horizon": 20.0, "np_list": [2, 4, 8]}
+    if "p0" in keys and "p0" not in file_cfg:
         try:
-            p0 = [0.0] * int(game.get("J", 0))
+            defaults["p0"] = [0.0] * int(game.get("J", 0))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid game parameters: J must be an integer, "
                               f"got {game.get('J')!r}") from exc
-    cfg = {
-        "schema_version": SCHEMA_VERSION,
-        "preset": preset,
-        "game": game,
-        "p0": p0,
-        "sim_horizon": file_cfg.get("sim_horizon", 20.0),
-    }
-    if args.p0 is not None:
-        cfg["p0"] = args.p0
-    if args.sim_horizon is not None:
-        cfg["sim_horizon"] = args.sim_horizon
+    cfg = {"schema_version": SCHEMA_VERSION, "preset": preset, "game": game}
+    for key in keys:
+        cfg[key] = file_cfg[key] if key in file_cfg else defaults[key]
     return cfg
 
 
-def _spec_from_config(cfg: dict) -> GameSpec:
-    """Validate cfg's game, p0 and sim_horizon; normalise the game into the echo."""
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _spec_from_config(cfg: dict, keys: list[str]) -> GameSpec:
+    """Validate cfg's game and run `keys`; normalise the game into the echo."""
     try:
         spec = spec_from_dict(cfg["game"])
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid game parameters: {exc}") from exc
     cfg["game"] = spec_to_dict(spec)
-    numbers = (int, float)
-    p0 = cfg.get("p0")
-    if not (isinstance(p0, list) and len(p0) == spec.J
-            and all(isinstance(x, numbers) for x in p0)):
-        raise ConfigError(f"p0 needs {spec.J} numbers")
-    if not isinstance(cfg.get("sim_horizon"), numbers):
-        raise ConfigError("sim_horizon must be a number")
+    if "p0" in keys:
+        p0 = cfg.get("p0")
+        if not (isinstance(p0, list) and len(p0) == spec.J
+                and all(_is_number(x) and 0.0 <= x <= spec.P_max for x in p0)):
+            raise ConfigError(f"p0 needs {spec.J} numbers in [0, {spec.P_max}]")
+    if "sim_horizon" in keys:
+        horizon = cfg.get("sim_horizon")
+        # The upper bound also refuses integers past the float range.
+        if not (_is_number(horizon) and 0.0 <= horizon <= sys.float_info.max):
+            raise ConfigError(f"sim_horizon must be a finite number >= 0, got {horizon!r}")
+    if "np_list" in keys:
+        degrees = cfg.get("np_list")
+        if not (isinstance(degrees, list) and degrees
+                and all(isinstance(d, int) and not isinstance(d, bool) for d in degrees)):
+            raise ConfigError(f"np_list must be a non-empty list of integers, got {degrees!r}")
     return spec
+
+
+def _resolve_run(args) -> tuple[dict, GameSpec]:
+    """The validated run of `args.command`: its base run, then its flags.
+
+    simulate continues the run in ``<out>/run.json``; solve and compare
+    start from :func:`_new_run`.  A flag the command lacks is absent from
+    `args`, so only the command's own flags apply.
+    """
+    keys = [key for key in _RUN_KEYS if hasattr(args, key)]
+    if args.command == "simulate":
+        cfg = _read_json(Path(args.out) / "run.json")
+    else:
+        cfg = _new_run(args, keys)
+    for flag, field in _GAME_FLAGS.items():
+        if getattr(args, flag, None) is not None:
+            cfg["game"][field] = getattr(args, flag)
+    for key in keys:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    return cfg, _spec_from_config(cfg, keys)
 
 
 def _out_dir(args) -> Path:
@@ -151,11 +187,13 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    cfg = _resolve_config(args)
-    spec = _spec_from_config(cfg)
+    cfg, spec = _resolve_run(args)
     out = _out_dir(args)
     grid = build_state_grid(spec)
-    result = solve(spec)
+    try:
+        result = solve(spec)
+    except (RuntimeError, FloatingPointError) as exc:
+        raise ConfigError(f"LQ start failed: {exc}") from exc
     _write_run_json(out, cfg)
 
     idx = np.arange(grid.n_nodes)
@@ -185,22 +223,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    run_file = out / "run.json"
+    out = Path(args.out)
     policy_file = out / "policy.csv"
-    if not run_file.exists() or not policy_file.exists():
+    if not (out / "run.json").exists() or not policy_file.exists():
         raise ConfigError(f"no solved policy in {out}; run 'solve' first")
-    try:
-        cfg = json.loads(run_file.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot read {run_file}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{run_file} must hold a JSON object")
-    if args.p0 is not None:
-        cfg["p0"] = args.p0
-    if args.sim_horizon is not None:
-        cfg["sim_horizon"] = args.sim_horizon
-    spec = _spec_from_config(cfg)
+    cfg, spec = _resolve_run(args)
     grid = build_state_grid(spec)
 
     try:
@@ -218,15 +245,8 @@ def cmd_simulate(args) -> int:
     if not np.all(np.isfinite(policy_values)):
         raise ConfigError(f"{policy_file} holds a non-numeric or non-finite control")
     policies = fit_policy(grid, PolicyField(values=policy_values))
-    p0 = np.asarray(cfg["p0"], dtype=float)
-    horizon = float(cfg["sim_horizon"])
-    if not (np.isfinite(horizon) and horizon >= 0.0):
-        raise ConfigError(f"sim_horizon must be finite and non-negative, got {horizon}")
-    n_steps = int(round(horizon / spec.h))
-    try:
-        path = simulate(spec, policies, p0, n_steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    n_steps = int(round(cfg["sim_horizon"] / spec.h))
+    path = simulate(spec, policies, cfg["p0"], n_steps)
     _write_csv(
         out / "timepath.csv",
         ["t"] + [f"p_{d+1}" for d in range(spec.J)] + [f"u_{d+1}" for d in range(spec.J)],
@@ -238,18 +258,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _resolve_config(args)
-    spec = _spec_from_config(cfg)
+    cfg, spec = _resolve_run(args)
     if spec.J != 2:
         raise ConfigError("no oracle: closed-form comparison needs a 2-player game")
-    degrees = args.np_list if args.np_list is not None else [2, 4, 8]
+    degrees = cfg["np_list"]
     oracles = []        # every degree's oracle is checked before the first solve
     for deg in degrees:
         try:
             spec_d = spec_from_dict({**cfg["game"], "Np": deg})
             grid = build_state_grid(spec_d)
             oracles.append((spec_d, grid, check_oracle(lq_solve(spec_d, grid))))
-        except ValueError as exc:
+        except (ValueError, RuntimeError, FloatingPointError) as exc:
             raise ConfigError(f"Np={deg}: {exc}") from exc
     out = _out_dir(args)
     _write_run_json(out, cfg)
@@ -275,36 +294,49 @@ def cmd_compare(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file")
+def _add_game_flags(p: argparse.ArgumentParser):
+    """The flags solve and compare share; compare sweeps Np with --np-list."""
+    p.add_argument("--config", help="JSON config file, e.g. an earlier run.json")
     p.add_argument("--preset", choices=list(PRESET_NAMES), help="named experiment preset")
     p.add_argument("--out", default="runs/latest", help="output directory")
-    p.add_argument("--np", type=_parse_ints, help="state degrees (int or comma list)")
     p.add_argument("--nu", type=_parse_ints, help="control degrees (int or comma list)")
     p.add_argument("--h", type=float, help="time step")
     p.add_argument("--tol", type=float, help="convergence tolerance")
     p.add_argument("--rho", type=float, help="discount rate")
     p.add_argument("--pm", type=float, help="state upper bound P_max")
     p.add_argument("--um", type=float, help="control upper bound U_max")
+
+
+def _add_start_flags(p: argparse.ArgumentParser):
+    """The rollout flags solve records and simulate reads."""
     p.add_argument("--sim-horizon", type=float, dest="sim_horizon",
                    help="simulation horizon in time units")
     p.add_argument("--p0", type=_parse_floats, help="initial state, comma separated")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a removed flag must not prefix-match a kept one
+    # (simulate's --h would become --help, compare's --np --np-list).
     parser = argparse.ArgumentParser(
         prog="chebnash",
         description="Chebyshev collocation solver for discrete-space pollution games",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_solve = sub.add_parser("solve", help="compute the feedback equilibrium")
-    _add_common(p_solve)
+    p_solve = sub.add_parser("solve", help="compute the feedback equilibrium",
+                             allow_abbrev=False)
+    _add_game_flags(p_solve)
+    p_solve.add_argument("--np", type=_parse_ints, help="state degrees (int or comma list)")
+    _add_start_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
-    p_sim = sub.add_parser("simulate", help="roll out a solved policy")
-    _add_common(p_sim)
+    p_sim = sub.add_parser("simulate", help="roll out the policy solved in --out",
+                           allow_abbrev=False)
+    p_sim.add_argument("--out", default="runs/latest", help="directory of a solve run")
+    _add_start_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
-    p_cmp = sub.add_parser("compare", help="error vs the closed-form 2-player solution")
-    _add_common(p_cmp)
+    p_cmp = sub.add_parser("compare", help="error vs the closed-form 2-player solution",
+                           allow_abbrev=False)
+    _add_game_flags(p_cmp)
     p_cmp.add_argument("--np-list", type=_parse_ints, dest="np_list",
                        help="state degrees to sweep (default 2,4,8)")
     p_cmp.set_defaults(func=cmd_compare)

@@ -120,9 +120,15 @@ def test_run_json_with_threads_key_reproduces_outputs_bitwise(tmp_path, key, val
     ["solve", "--preset", "example1", *FAST, "--threads", "2"],
     ["solve", "--preset", "example1", *FAST, "--blocks", "3"],
     ["bench-blocks", "--preset", "example1", *FAST],
-], ids=["threads", "blocks", "bench-blocks"])
+    ["simulate", "--preset", "example3"],
+    ["simulate", "--h", "0.5"],
+    ["compare", "--preset", "example1", "--np", "2"],
+    ["compare", "--preset", "example1", "--p0", "0,0"],
+], ids=["threads", "blocks", "bench-blocks", "simulate-preset", "simulate-h",
+        "compare-np", "compare-p0"])
 def test_threads_flag_is_usage_error(tmp_path, argv):
-    # Removed options and commands fail in argument parsing.
+    # Removed options and commands, and flags a command does not read, fail
+    # in argument parsing; no flag is taken as an abbreviation (--h of --help).
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
@@ -220,10 +226,14 @@ def test_simulate_malformed_inputs_are_usage_errors(tmp_path, capsys, name, edit
     assert not (out / "timepath.csv").exists()
 
 
-def _config_file(tmp_path, cfg):
+# The LQ start's policy iteration does not settle on this game.
+UNSETTLED = {"preset": "example1", "game": {"m": 1e-6, "h": 0.01, "Np": 3, "Nu": 3}}
+
+
+def _config_file(tmp_path, cfg, command="solve"):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    return ["solve", "--config", str(path), "--out", str(tmp_path / "run")]
+    return [command, "--config", str(path), "--out", str(tmp_path / "run")]
 
 
 def _simulate_edited_run(tmp_path, **edit):
@@ -254,9 +264,24 @@ def _simulate_edited_run(tmp_path, **edit):
      "cannot parse integer list"),
     (lambda tmp: ["compare", "--preset", "example1", "--np-list", ",",
                   "--out", str(tmp / "run")], "empty integer list"),
+    (lambda tmp: ["solve", "--preset", "example1", "--p0", "5,5", "--out", str(tmp / "run")],
+     "p0"),
+    (lambda tmp: ["solve", "--preset", "example1", "--sim-horizon", "-1",
+                  "--out", str(tmp / "run")], "sim_horizon"),
+    (lambda tmp: _config_file(tmp, {"preset": "example1", "p0": [True, False]}), "p0"),
+    (lambda tmp: _config_file(tmp, {"preset": "example1", "sim_horizon": True}),
+     "sim_horizon"),
+    (lambda tmp: _config_file(tmp, {"preset": "example1", "sim_horizon": 10**400}),
+     "sim_horizon"),
+    (lambda tmp: _config_file(tmp, UNSETTLED), "not settled"),
+    (lambda tmp: [*_config_file(tmp, UNSETTLED, "compare"), "--np-list", "2"],
+     "not settled"),
+    (lambda tmp: _config_file(tmp, {"preset": "example1", "np_list": 2}, "compare"),
+     "np_list"),
 ], ids=["invalid-oracle", "np-list-0", "config-list", "game-list", "p0-number",
         "J-string", "no-sim_horizon", "p0-strings", "np-empty", "nu-empty", "np-string",
-        "np-list-empty"])
+        "np-list-empty", "p0-outside-box", "negative-horizon", "p0-bools", "horizon-bool",
+        "horizon-past-float-range", "lq-unsettled", "compare-lq-unsettled", "np_list-number"])
 def test_malformed_input_is_usage_error_before_any_work(tmp_path, capsys, make_argv, message):
     argv = make_argv(tmp_path)
     capsys.readouterr()
@@ -265,6 +290,8 @@ def test_malformed_input_is_usage_error_before_any_work(tmp_path, capsys, make_a
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "run" / "error.csv").exists()
     assert not (tmp_path / "run" / "timepath.csv").exists()
+    if argv[0] != "simulate":       # simulate reads the run.json that solve wrote
+        assert not (tmp_path / "run" / "run.json").exists()
 
 
 def test_policy_roundtrip_is_lossless(tmp_path):
@@ -309,7 +336,23 @@ def test_compare_single_degree_single_row(tmp_path):
     assert len((out / "error.csv").read_text().strip().splitlines()) == 2
 
 
+def test_compare_rerun_from_run_json_runs_the_same_degrees(tmp_path):
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert run_cli(["compare", "--preset", "example1", "--h", "0.01", "--tol", "1e-4",
+                    "--rho", "0.5", "--np-list", "2,3", "--out", str(out1)]) == 0
+    assert json.loads((out1 / "run.json").read_text())["np_list"] == [2, 3]
+    assert run_cli(["compare", "--config", str(out1 / "run.json"), "--out", str(out2)]) == 0
+
+    def np_and_error(out):
+        return [line.rsplit(",", 1)[0] for line in (out / "error.csv").read_text().splitlines()]
+
+    assert np_and_error(out1) == np_and_error(out2)
+    assert len(np_and_error(out1)) == 3
+
+
 def test_compare_refuses_three_players(tmp_path, capsys):
-    rc = main(["compare", "--preset", "example3", *FAST, "--out", str(tmp_path / "x")])
+    rc = main(["compare", "--preset", "example3", "--h", "0.01", "--tol", "1e-4",
+               "--rho", "0.5", "--nu", "2", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "no oracle" in capsys.readouterr().err
