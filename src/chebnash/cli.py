@@ -5,7 +5,8 @@ Each command takes only the flags it reads:
 * ``solve``: ``--config --preset --out --np --nu --h --tol --rho --pm --um
   --p0 --sim-horizon``;
 * ``simulate``: ``--out --p0 --sim-horizon``; the game and the solved
-  policy come from ``<out>/run.json`` and ``<out>/policy.csv``;
+  policy come from ``<out>/run.json`` and ``<out>/policy.csv`` of a solve
+  run;
 * ``compare``: ``--config --preset --out --nu --h --tol --rho --pm --um
   --np-list``.
 
@@ -152,6 +153,9 @@ def _resolve_run(args) -> tuple[dict, GameSpec]:
     keys = [key for key in _RUN_KEYS if hasattr(args, key)]
     if args.command == "simulate":
         cfg = _read_json(Path(args.out) / "run.json")
+        if "np_list" in cfg:
+            raise ConfigError(f"{Path(args.out) / 'run.json'} was written by 'compare'; "
+                              "simulate needs a 'solve' run")
     else:
         cfg = _new_run(args, keys)
     for flag, field in _GAME_FLAGS.items():

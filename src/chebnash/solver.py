@@ -12,10 +12,13 @@ state node and for every player:
    own axis once per control (:func:`_cardinal_matrix`), and form the
    candidate objective: stage gain plus discounted successor value;
 3. fit the one-dimensional Chebyshev interpolant of those samples and
-   maximise it over the control interval at its critical points: the
-   roots of its derivative, all rows' at once as the eigenvalues of
-   their colleague matrices, polished by two Newton steps and compared
-   with both endpoints (:func:`_maximise_block`).
+   maximise it over the control interval (:func:`_maximise_block`).  A
+   row whose second-derivative series certifies f'' < 0 on the interval
+   has at most one critical point: an endpoint when f' keeps one sign
+   there, otherwise the root of f' found by Newton steps kept inside a
+   sign bracket.  Every other row compares both endpoints with all roots
+   of its derivative, found at once as the eigenvalues of the rows'
+   colleague matrices and polished by two Newton steps.
 
 The driver (:func:`solve`) runs safeguarded policy iteration.  It starts
 from the equilibrium of the unconstrained linear-quadratic game
@@ -181,32 +184,116 @@ def _colleague_roots(q: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(C).real
 
 
-def _maximise_block(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Global maximum of each row of (m, L) interpolants over [-1, 1].
+def _derivative_stack(coef: np.ndarray) -> np.ndarray:
+    """(L-1, 2, m) series of f' and f'' of each row of (m, L) coefficients, L >= 3.
 
-    The candidates are the real parts of all roots of the derivative,
-    clipped to [-1, 1] and polished by two Newton steps on the derivative,
-    and both endpoints.  Returns the best candidate of each row and the
-    interpolant there.
+    f'' gets a zero top coefficient, so one Clenshaw pass evaluates both.
     """
-    m, L = coef.shape
+    q1 = derivative_array(coef)
+    dq = np.zeros((coef.shape[1] - 1, 2, coef.shape[0]))
+    dq[:, 0] = q1.T
+    dq[:-1, 1] = derivative_array(q1).T
+    return dq
+
+
+def _colleague_argmax(coef: np.ndarray, dq: np.ndarray | None) -> np.ndarray:
+    """Best point in [-1, 1] of each row of (m, L) interpolants, whatever their shape.
+
+    `dq` holds the rows' derivative series (:func:`_derivative_stack`;
+    None when L < 3).  The candidates are the real parts of all roots of
+    the derivative, clipped to [-1, 1] and polished by two Newton steps on
+    the derivative, and both endpoints; the interpolant picks the best.
+    """
+    m = coef.shape[0]
     cands = [np.broadcast_to([-1.0, 1.0], (m, 2))]
-    if L > 2:
-        q1 = derivative_array(coef)
-        q2 = derivative_array(q1)
-        x = np.clip(_colleague_roots(q1), -1.0, 1.0)
+    if dq is not None:
+        x = np.clip(_colleague_roots(dq[:, 0].T), -1.0, 1.0)
         for _ in range(2):
-            f1 = clenshaw(q1.T[:, :, None], x)
-            f2 = clenshaw(q2.T[:, :, None], x)
+            f1, f2 = clenshaw(dq[:, :, :, None], x)
             # A step longer than the interval could only reach an endpoint.
             short = np.abs(f1) < 2.0 * np.abs(f2)
             step = np.divide(f1, f2, out=np.zeros_like(f1), where=short)
             x = np.clip(x - step, -1.0, 1.0)
         cands.append(x)
     x = np.concatenate(cands, axis=1)
-    f = clenshaw(coef.T[:, :, None], x)
-    best = np.argmax(f, axis=1)[:, None]
-    return np.take_along_axis(x, best, 1)[:, 0], np.take_along_axis(f, best, 1)[:, 0]
+    best = np.argmax(clenshaw(coef.T[:, :, None], x), axis=1)[:, None]
+    return np.take_along_axis(x, best, 1)[:, 0]
+
+
+# Bisection alone shrinks the bracket [-1, 1] below _NEWTON_STOP in 51 steps.
+_NEWTON_STEPS = 60
+_NEWTON_STOP = 4.0 * np.finfo(float).eps
+
+
+def _concave_argmax(dq: np.ndarray) -> np.ndarray:
+    """Maximiser over [-1, 1] of each row whose second derivative is negative there.
+
+    `dq` holds the rows' derivative series (:func:`_derivative_stack`).
+    f' then decreases strictly, so the maximum is at -1 when f'(-1) <= 0,
+    at 1 when f'(1) >= 0, and otherwise at the one root of f'.  That root
+    is found by Newton steps from the regula-falsi point of [-1, 1], kept
+    inside the sign bracket that every step shrinks: a step that would
+    leave it bisects instead.  A row stops at a step of at most
+    _NEWTON_STOP; the loop ends after _NEWTON_STEPS steps at most.  When
+    f' is linear (L = 3) the regula-falsi point is the root.
+    """
+    q1 = dq[:, 0]
+    hi = q1.sum(axis=0)                                             # f'(1)
+    lo = 2.0 * q1[::2].sum(axis=0) - hi                             # f'(-1)
+    x = np.where(lo <= 0.0, -1.0, 1.0)
+    active = (lo > 0.0) & (hi < 0.0)
+    np.divide(lo + hi, lo - hi, out=x, where=active)
+    if len(dq) == 2:
+        return x
+    a, b = np.full_like(x, -1.0), np.ones_like(x)
+    # f'' = 0 within rounding gives a non-finite step, which bisects.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            if not active.any():
+                break
+            g, d = clenshaw(dq, x)
+            right = g > 0.0
+            a = np.where(right, x, a)
+            b = np.where(right, b, x)
+            xn = x - g / d
+            # At the rounding level of f' Newton can jump back to the far
+            # end of the bracket; that bisects too.
+            xn = np.where((a < xn) & (xn < b) | (xn == x), xn, 0.5 * (a + b))
+            # A row that stopped keeps its point, so its result does not
+            # depend on the other rows of the block.
+            xn = np.where(active, xn, x)
+            active = np.abs(xn - x) > _NEWTON_STOP
+            x = xn
+    return x
+
+
+def _maximise_block(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Global maximum of each row of (m, L) interpolants over [-1, 1].
+
+    A row whose second-derivative series q2 satisfies
+    q2_0 + sum_{l>=1} |q2_l| < 0 is concave on [-1, 1], since |T_l| <= 1
+    there; it has at most one critical point, found by bracketed Newton
+    (:func:`_concave_argmax`).  Every other row, and every row when L < 3,
+    compares both endpoints with all real roots of its derivative, found by
+    one batched colleague-matrix eigensolve (:func:`_colleague_argmax`).
+    Each row's result depends on that row alone.  Returns the best point
+    of each row and the interpolant there.
+    """
+    m, L = coef.shape
+    if L < 3:
+        x = _colleague_argmax(coef, None)
+    else:
+        dq = _derivative_stack(coef)
+        q2 = dq[:-1, 1]
+        concave = q2[0] + np.abs(q2[1:]).sum(axis=0) < 0.0
+        if concave.all():
+            x = _concave_argmax(dq)
+        else:
+            x = np.empty(m)
+            x[concave] = _concave_argmax(dq[:, :, concave])
+            rest = ~concave
+            x[rest] = _colleague_argmax(coef[rest], dq[:, :, rest])
+    return x, clenshaw(coef.T, x)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +427,12 @@ def _evaluate_policy(ws: _Workspace, policy_values: np.ndarray) -> np.ndarray:
         rows = _cardinal_rows(ws, coords)
         w = _row_basis(policy_values[i] * ws.u_scale - 1.0, pw.K) @ pw.M0   # (n, K)
         rows[i] = np.einsum("nk,nka->na", w, rows[i].reshape(n, pw.K, -1))
-        E = _cardinal_matrix(rows)
+        # I - delta E, built in place.
+        A = _cardinal_matrix(rows)
+        A *= -spec.delta
+        A.flat[:: n + 1] += 1.0
         rhs = spec.delta * np.einsum("nk,nk->n", w, pw.stage)
-        out[i] = np.linalg.solve(np.eye(n) - spec.delta * E, rhs)
+        out[i] = np.linalg.solve(A, rhs)
     return out
 
 

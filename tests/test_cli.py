@@ -202,6 +202,18 @@ def test_simulate_without_policy_is_error(tmp_path, capsys):
     assert "solve" in capsys.readouterr().err
 
 
+def test_simulate_after_compare_in_the_same_directory_names_compare(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--preset", "example1", *FAST, "--out", str(out)]) == 0
+    assert run_cli(["compare", "--preset", "example1", "--h", "0.01", "--tol", "1e-4",
+                    "--rho", "0.5", "--np-list", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "written by 'compare'" in err and "'solve' run" in err
+    assert not (out / "timepath.csv").exists()
+
+
 def _last_cell_of_first_row(text, cell):
     lines = text.splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0] + "," + cell

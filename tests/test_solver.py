@@ -3,6 +3,7 @@
 import warnings
 
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 import pytest
 
 from chebnash.cheb1d import clenshaw, derivative_array, make_basis, to_reference
@@ -13,7 +14,10 @@ from chebnash.presets import preset_spec
 from chebnash.solver import (
     PolicyField,
     ValueField,
+    _NEWTON_STEPS,
+    _colleague_argmax,
     _colleague_roots,
+    _derivative_stack,
     _evaluate_policy,
     _maximise_block,
     _Workspace,
@@ -130,6 +134,82 @@ def test_linear_rows_take_the_higher_end():
     x, f = _maximise_block(coef)
     np.testing.assert_array_equal(x[:2], [1.0, -1.0])
     np.testing.assert_allclose(f, [0.7, 0.7, 0.2])
+
+
+def _concave_rows(rng, L, roots, slopes=None):
+    """Rows of L coefficients with q2_0 + sum |q2_l| < 0 and f'(roots) = slopes (default 0)."""
+    slopes = np.zeros(len(roots)) if slopes is None else slopes
+    rows = []
+    for r, s in zip(roots, slopes):
+        q2 = rng.standard_normal(L - 2) * 10.0 ** rng.uniform(-1, 1, L - 2)
+        # margins from 1e-6 (f'' nearly vanishes somewhere) to 1
+        q2[0] = -np.abs(q2[1:]).sum() - 10.0 ** rng.uniform(-6, 0)
+        q1 = cheb.chebint(q2, lbnd=r, k=s)
+        rows.append(cheb.chebint(q1, k=rng.standard_normal()))
+    return np.array(rows)
+
+
+def _certified(coef):
+    q2 = derivative_array(derivative_array(coef))
+    return q2[:, 0] + np.abs(q2[:, 1:]).sum(axis=1) < 0.0
+
+
+def _count_clenshaw_calls(monkeypatch):
+    calls = []
+
+    def counting(c, x):
+        calls.append(1)
+        return clenshaw(c, x)
+
+    monkeypatch.setattr("chebnash.solver.clenshaw", counting)
+    return calls
+
+
+@pytest.mark.parametrize("L", range(3, 10))
+def test_concave_rows_reach_the_colleague_paths_maximum(L, monkeypatch):
+    rng = np.random.default_rng(200 + L)
+    near = 1.0 - rng.uniform(0.0, 1e-12, 10)
+    # Roots inside, roots within 1e-12 of +-1, and f' > 0 at 1 or f' < 0 at
+    # -1: f' decreases, so the last 20 rows' f' keeps one sign.
+    roots = np.concatenate([rng.uniform(-1.0, 1.0, 40), near, -near, np.ones(10), -np.ones(10)])
+    slopes = np.zeros(len(roots))
+    slopes[-20:-10] = 10.0 ** rng.uniform(-12, 0, 10)
+    slopes[-10:] = -(10.0 ** rng.uniform(-12, 0, 10))
+    coef = _concave_rows(rng, L, roots, slopes)
+    assert np.all(_certified(coef))
+    calls = _count_clenshaw_calls(monkeypatch)
+    x, f = _maximise_block(coef)
+    # Every row stops well inside the cap: one pass per step plus the final value.
+    assert len(calls) <= _NEWTON_STEPS // 2
+    x_eig = _colleague_argmax(coef, _derivative_stack(coef))
+    f_eig = clenshaw(coef.T, x_eig)
+    assert np.all(np.abs(x) <= 1.0)
+    assert np.all(f >= f_eig - 1e-15 * np.abs(coef).max(axis=1))
+    assert np.all(x[-20:-10] == 1.0) and np.all(x[-10:] == -1.0)
+
+
+def test_mixed_block_rows_equal_their_lone_results():
+    rng = np.random.default_rng(31)
+    L = 7
+    concave = _concave_rows(rng, L, rng.uniform(-1.5, 1.5, 30))
+    coef = np.concatenate([concave, rng.standard_normal((30, L))])[rng.permutation(60)]
+    assert 0 < _certified(coef).sum() < len(coef)
+    x, f = _maximise_block(coef)
+    for row, xr, fr in zip(coef, x, f):
+        x1, f1 = _maximise_block(row[None, :])
+        assert (xr, fr) == (x1[0], f1[0])
+
+
+def test_nearly_flat_concave_row_stops_within_the_cap(monkeypatch):
+    # f' is about 1e-17 and f'' about -1e-14: each Newton step is at the
+    # rounding level of f'.
+    coef = np.array([[1.0, 3e-18, -2.5e-15, 1e-19, -1e-20, 0.0, 1e-21, 0.0, 0.0]])
+    assert _certified(coef)[0]
+    calls = _count_clenshaw_calls(monkeypatch)
+    x, f = _maximise_block(coef)
+    assert len(calls) <= _NEWTON_STEPS + 1        # the loop's passes and the final value
+    assert -1.0 <= x[0] <= 1.0
+    assert np.isfinite(f[0]) and f[0] >= clenshaw(coef[0], np.array([-1.0, 1.0])).max()
 
 
 # ---------------------------------------------------------------------------
