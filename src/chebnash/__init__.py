@@ -25,17 +25,14 @@ from .game import (
     build_state_grid,
     discounted_payoff,
     dynamics,
-    stage_payoff,
-    step,
 )
-from .oracle import LQFeedback, lq_bellman_update, lq_solve, policy_error
-from .presets import preset_spec, spec_from_dict, spec_to_dict
+from .oracle import LQFeedback, lq_solve, policy_error
+from .presets import preset_spec, spec_to_dict
 from .solver import (
     EquilibriumResult,
     PolicyField,
     TimePath,
     ValueField,
-    bellman_sweep,
     fit_policy,
     simulate,
     solve,
@@ -54,23 +51,18 @@ __all__ = [
     "TimePath",
     "ValueField",
     "basis_matrix",
-    "bellman_sweep",
     "build_state_grid",
     "discounted_payoff",
     "dynamics",
     "eval_full",
     "fit_policy",
-    "lq_bellman_update",
     "lq_solve",
     "make_basis",
     "policy_error",
     "preset_spec",
     "simulate",
     "solve",
-    "spec_from_dict",
     "spec_to_dict",
-    "stage_payoff",
-    "step",
     "tensor_coeffs",
     "to_reference",
 ]

@@ -8,18 +8,22 @@ Each command takes only the flags it reads:
   policy come from ``<out>/run.json`` and ``<out>/policy.csv`` of a solve
   run;
 * ``compare``: ``--config --preset --out --nu --h --tol --rho --pm --um
-  --np-list``.
+  --np-list``; the policy error against the exact LQ oracle, for any
+  number of players, at every listed state degree where the oracle's
+  feedback stays inside [0, U_max] on the grid.
 
 solve and compare resolve their run in three layers: preset defaults,
 then an optional JSON config file, then flags.  simulate starts from
 ``<out>/run.json`` and applies its flags.  Every run is validated before
-any work.  solve and compare write a ``run.json`` echoing the resolved run
-(schema_version 1); compare's carries the degrees it ran as ``np_list``.
-Re-running either command with ``--config <out>/run.json`` reproduces its
-numeric outputs bitwise (compare's ``wall_time`` column aside).
+any work.  solve writes ``run.json`` and compare ``compare.json``, each
+echoing the resolved run (schema_version 1); compare's carries the
+degrees it ran as ``np_list``.  Re-running either command with that file
+as ``--config`` reproduces its numeric outputs bitwise (compare's
+``wall_time`` column aside).
 
 Exit codes: 0 success/converged, 2 usage or configuration error or an LQ
-start that does not settle, 3 solver did not converge within max_iters.
+start that does not settle, 3 solver did not converge within max_iters
+(for compare: at some degree, after ``error.csv`` is written).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .game import GameSpec, build_state_grid
 from .oracle import check_oracle, lq_solve, policy_error
-from .presets import PRESET_NAMES, preset_spec, spec_from_dict, spec_to_dict
+from .presets import PRESET_NAMES, preset_spec, spec_to_dict
 from .solver import PolicyField, fit_policy, simulate, solve
 
 SCHEMA_VERSION = 1
@@ -121,7 +125,7 @@ def _is_number(x) -> bool:
 def _spec_from_config(cfg: dict, keys: list[str]) -> GameSpec:
     """Validate cfg's game and run `keys`; normalise the game into the echo."""
     try:
-        spec = spec_from_dict(cfg["game"])
+        spec = GameSpec(**cfg["game"])
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid game parameters: {exc}") from exc
     cfg["game"] = spec_to_dict(spec)
@@ -173,8 +177,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_run_json(out: Path, cfg: dict):
-    (out / "run.json").write_text(json.dumps(cfg, indent=2) + "\n")
+def _write_echo(path: Path, cfg: dict):
+    path.write_text(json.dumps(cfg, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
@@ -198,7 +202,7 @@ def cmd_solve(args) -> int:
         result = solve(spec)
     except (RuntimeError, FloatingPointError) as exc:
         raise ConfigError(f"LQ start failed: {exc}") from exc
-    _write_run_json(out, cfg)
+    _write_echo(out / "run.json", cfg)
 
     idx = np.arange(grid.n_nodes)
     p_cols = [grid.nodes[:, d] for d in range(spec.J)]
@@ -262,27 +266,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg, spec = _resolve_run(args)
-    if spec.J != 2:
-        raise ConfigError("no oracle: closed-form comparison needs a 2-player game")
+    cfg, _ = _resolve_run(args)
     degrees = cfg["np_list"]
     oracles = []        # every degree's oracle is checked before the first solve
     for deg in degrees:
         try:
-            spec_d = spec_from_dict({**cfg["game"], "Np": deg})
+            spec_d = GameSpec(**{**cfg["game"], "Np": deg})
             grid = build_state_grid(spec_d)
             oracles.append((spec_d, grid, check_oracle(lq_solve(spec_d, grid))))
         except (ValueError, RuntimeError, FloatingPointError) as exc:
             raise ConfigError(f"Np={deg}: {exc}") from exc
     out = _out_dir(args)
-    _write_run_json(out, cfg)
+    _write_echo(out / "compare.json", cfg)
     errors = []
     times = []
+    converged = True
     for deg, (spec_d, grid, feedback) in zip(degrees, oracles):
         t0 = time.perf_counter()
         result = solve(spec_d)
         times.append(time.perf_counter() - t0)
         if not result.converged:
+            converged = False
             print(f"warning: Np={deg} did not converge", file=sys.stderr)
         errors.append(policy_error(result.policy, feedback, grid))
         print(f"Np={deg}: error {errors[-1]:.6e}  ({times[-1]:.2f} s)")
@@ -291,7 +295,7 @@ def cmd_compare(args) -> int:
         ["np", "error", "wall_time"],
         [np.asarray(degrees, dtype=int), np.asarray(errors), np.asarray(times)],
     )
-    return 0
+    return 0 if converged else 3
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +304,7 @@ def cmd_compare(args) -> int:
 
 def _add_game_flags(p: argparse.ArgumentParser):
     """The flags solve and compare share; compare sweeps Np with --np-list."""
-    p.add_argument("--config", help="JSON config file, e.g. an earlier run.json")
+    p.add_argument("--config", help="JSON config file, e.g. an earlier run.json or compare.json")
     p.add_argument("--preset", choices=list(PRESET_NAMES), help="named experiment preset")
     p.add_argument("--out", default="runs/latest", help="output directory")
     p.add_argument("--nu", type=_parse_ints, help="control degrees (int or comma list)")
@@ -338,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default="runs/latest", help="directory of a solve run")
     _add_start_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
-    p_cmp = sub.add_parser("compare", help="error vs the closed-form 2-player solution",
+    p_cmp = sub.add_parser("compare", help="policy error vs the exact LQ oracle per degree",
                            allow_abbrev=False)
     _add_game_flags(p_cmp)
     p_cmp.add_argument("--np-list", type=_parse_ints, dest="np_list",

@@ -168,27 +168,13 @@ def _drift(spec: GameSpec, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return exchange / spec.m - spec.c * p + spec.beta * u
 
 
-def stage_payoff(spec: GameSpec, i: int, p_i, u_i):
-    """Instant welfare of player i: u(A_i - u/2) - (phi_i/2) p^2."""
-    u_i = np.asarray(u_i, dtype=float)
-    if np.any(u_i < 0):
-        raise ValueError("controls must be non-negative")
-    return _stage_gain(spec, i, np.asarray(p_i, dtype=float), u_i)
-
-
 def _stage_gain(spec: GameSpec, i: int, p_i: np.ndarray, u_i: np.ndarray) -> np.ndarray:
-    """:func:`stage_payoff` without input checks, for valid float arrays."""
+    """Instant welfare of player i, u(A_i - u/2) - (phi_i/2) p^2; no input checks."""
     return u_i * (spec.A[i] - 0.5 * u_i) - 0.5 * spec.phi[i] * p_i**2
 
 
-def step(spec: GameSpec, p, u) -> np.ndarray:
-    """One explicit Euler step p + h*g(p, u), clamped to [0, P_max]."""
-    p, u = _check_state_control(p, u, spec.J)
-    return _euler_step(spec, p, u)
-
-
 def _euler_step(spec: GameSpec, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`step` without input checks, for valid float arrays."""
+    """One explicit Euler step p + h*g(p, u), clamped to [0, P_max]; no input checks."""
     return np.clip(p + spec.h * _drift(spec, p, u), 0.0, spec.P_max)
 
 

@@ -69,13 +69,8 @@ def _drift_matrix(spec: GameSpec) -> np.ndarray:
 def _best_response(
     spec: GameSpec, D: np.ndarray, i: int, Qi: np.ndarray, bi: np.ndarray,
     e: np.ndarray, f: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """Player i's interior best response to value (Qi, bi) and the others' feedback.
-
-    Returns the others' closed-loop matrix M and offset w (player i's own
-    control removed), the own control's column z of the Euler step, and
-    the response (e_i, f_i).
-    """
+) -> tuple[float, np.ndarray]:
+    """Player i's interior best response (e_i, f_i) to value (Qi, bi) and the others' feedback."""
     J = spec.J
     h = spec.h
     others = np.arange(J) != i
@@ -90,41 +85,7 @@ def _best_response(
         raise FloatingPointError("interior maximisation is not concave")
     e_new = (h * spec.A[i] + z @ (2.0 * Qi @ w + bi)) / denom
     f_new = (2.0 * (z @ Qi) @ M) / denom
-    return M, w, z, e_new, f_new
-
-
-def lq_bellman_update(
-    spec: GameSpec, Q: np.ndarray, b: np.ndarray, d: np.ndarray,
-    e: np.ndarray, f: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """One exact best-response update of every player's quadratic data.
-
-    All players respond simultaneously to the current feedback profile.
-    The update assumes the control constraints are inactive; it performs
-    the interior maximisation in closed form and recomposes the value as
-    V_i'(p) = delta * (h G_i(p_i, u_i*(p)) + V_i(next state)).
-    """
-    h, delta = spec.h, spec.delta
-    D = _drift_matrix(spec)
-    Qn = np.empty_like(Q)
-    bn = np.empty_like(b)
-    dn = np.empty_like(d)
-    en = np.empty_like(e)
-    fn = np.empty_like(f)
-    for i in range(spec.J):
-        Qi, bi = Q[i], b[i]
-        M, w, z, e_new, f_new = _best_response(spec, D, i, Qi, bi, e, f)
-        Mt = M + np.outer(z, f_new)
-        wt = w + e_new * z
-        stage_quad = -0.5 * np.outer(f_new, f_new)
-        stage_quad[i, i] -= 0.5 * spec.phi[i]
-        Qn[i] = delta * (h * stage_quad + Mt.T @ Qi @ Mt)
-        Qn[i] = 0.5 * (Qn[i] + Qn[i].T)
-        bn[i] = delta * (h * (spec.A[i] - e_new) * f_new + Mt.T @ (2.0 * Qi @ wt + bi))
-        dn[i] = delta * (h * (spec.A[i] * e_new - 0.5 * e_new**2) + wt @ Qi @ wt + bi @ wt + d[i])
-        en[i] = e_new
-        fn[i] = f_new
-    return Qn, bn, dn, en, fn
+    return e_new, f_new
 
 
 def _evaluate_profile(
@@ -186,7 +147,7 @@ def lq_solve(spec: GameSpec, grid: StateGrid | None = None) -> LQFeedback:
         Q, b, d = _evaluate_profile(spec, D, e, f)
         en, fn = np.empty_like(e), np.empty_like(f)
         for i in range(J):
-            *_, en[i], fn[i] = _best_response(spec, D, i, Q[i], b[i], e, f)
+            en[i], fn[i] = _best_response(spec, D, i, Q[i], b[i], e, f)
         change = max(np.max(np.abs(en - e)), np.max(np.abs(fn - f)))
         if change < _COEF_TOL:
             break

@@ -33,7 +33,7 @@ _K4 = [
 ]
 
 _COMMON = dict(beta=1.0, phi=1.0, A=0.5, c=0.5, rho=0.1, h=1e-3,
-               P_max=0.7, U_max=0.5, tol=1e-6, max_iters=200_000)
+               P_max=0.7, U_max=0.5, tol=1e-6)
 
 _PRESET_TABLE = {
     "example1": dict(J=2, K=_K1, Np=8, Nu=8),
@@ -56,7 +56,7 @@ def preset_spec(name: str, **overrides) -> GameSpec:
 
 
 def spec_to_dict(spec: GameSpec) -> dict:
-    """JSON-ready dictionary of every GameSpec field."""
+    """JSON-ready dictionary of every GameSpec field; ``GameSpec(**data)`` rebuilds the spec."""
     return {
         "J": spec.J,
         "K": np.asarray(spec.K).tolist(),
@@ -74,8 +74,3 @@ def spec_to_dict(spec: GameSpec) -> dict:
         "tol": spec.tol,
         "max_iters": spec.max_iters,
     }
-
-
-def spec_from_dict(data: dict) -> GameSpec:
-    """Inverse of :func:`spec_to_dict`."""
-    return GameSpec(**data)

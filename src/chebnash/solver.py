@@ -387,21 +387,6 @@ def _run_sweep(
     return np.stack(us), np.stack(vs), sum(clamps)
 
 
-def bellman_sweep(
-    spec: GameSpec,
-    grid: StateGrid,
-    values: ValueField,
-    policy: PolicyField,
-) -> tuple[ValueField, PolicyField]:
-    """One synchronous best-response sweep over all players and nodes.
-
-    All players respond to the iteration-r fields; of `values` the sweep
-    reads only the node values `values.values`.
-    """
-    u_new, v_new, _ = _run_sweep(_Workspace(spec, grid), values.values, policy.values)
-    return ValueField(values=v_new), PolicyField(values=u_new)
-
-
 # ---------------------------------------------------------------------------
 # exact policy evaluation
 # ---------------------------------------------------------------------------

@@ -82,6 +82,16 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert run_cli(["solve", "--config", str(cfg_file), "--out", str(out)]) == 3
 
 
+def test_compare_nonconvergence_exit_code_after_writing_errors(tmp_path):
+    out = tmp_path / "run"
+    cfg = {"preset": "example1", "np_list": [2, 3],
+           "game": {"h": 0.01, "tol": 1e-12, "rho": 0.5, "Nu": 2, "max_iters": 5}}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    assert run_cli(["compare", "--config", str(cfg_file), "--out", str(out)]) == 3
+    assert read_csv(out / "error.csv")["np"].tolist() == [2, 3]
+
+
 def test_custom_without_config_is_usage_error(tmp_path, capsys):
     rc = main(["solve", "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -203,15 +213,29 @@ def test_simulate_without_policy_is_error(tmp_path, capsys):
 
 
 def test_simulate_after_compare_in_the_same_directory_names_compare(tmp_path, capsys):
+    # Earlier versions wrote compare's echo to run.json, over a solve run's.
     out = tmp_path / "run"
     assert run_cli(["solve", "--preset", "example1", *FAST, "--out", str(out)]) == 0
     assert run_cli(["compare", "--preset", "example1", "--h", "0.01", "--tol", "1e-4",
                     "--rho", "0.5", "--np-list", "2", "--out", str(out)]) == 0
+    (out / "run.json").write_bytes((out / "compare.json").read_bytes())
     capsys.readouterr()
     assert main(["simulate", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "written by 'compare'" in err and "'solve' run" in err
     assert not (out / "timepath.csv").exists()
+
+
+def test_compare_keeps_the_solve_run_in_the_same_directory(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--preset", "example1", *FAST, "--out", str(out)]) == 0
+    solved = (out / "run.json").read_bytes()
+    assert run_cli(["compare", "--preset", "example1", "--h", "0.01", "--tol", "1e-4",
+                    "--rho", "0.5", "--np-list", "2", "--out", str(out)]) == 0
+    assert (out / "run.json").read_bytes() == solved
+    assert json.loads((out / "compare.json").read_text())["np_list"] == [2]
+    assert main(["simulate", "--out", str(out), "--sim-horizon", "1"]) == 0
+    assert (out / "timepath.csv").exists()
 
 
 def _last_cell_of_first_row(text, cell):
@@ -304,6 +328,7 @@ def test_malformed_input_is_usage_error_before_any_work(tmp_path, capsys, make_a
     assert not (tmp_path / "run" / "timepath.csv").exists()
     if argv[0] != "simulate":       # simulate reads the run.json that solve wrote
         assert not (tmp_path / "run" / "run.json").exists()
+    assert not (tmp_path / "run" / "compare.json").exists()
 
 
 def test_policy_roundtrip_is_lossless(tmp_path):
@@ -348,13 +373,15 @@ def test_compare_single_degree_single_row(tmp_path):
     assert len((out / "error.csv").read_text().strip().splitlines()) == 2
 
 
-def test_compare_rerun_from_run_json_runs_the_same_degrees(tmp_path):
+def test_compare_rerun_from_compare_json_runs_the_same_degrees(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     assert run_cli(["compare", "--preset", "example1", "--h", "0.01", "--tol", "1e-4",
                     "--rho", "0.5", "--np-list", "2,3", "--out", str(out1)]) == 0
-    assert json.loads((out1 / "run.json").read_text())["np_list"] == [2, 3]
-    assert run_cli(["compare", "--config", str(out1 / "run.json"), "--out", str(out2)]) == 0
+    assert json.loads((out1 / "compare.json").read_text())["np_list"] == [2, 3]
+    assert not (out1 / "run.json").exists()
+    assert run_cli(["compare", "--config", str(out1 / "compare.json"), "--out", str(out2)]) == 0
+    assert (out1 / "compare.json").read_bytes() == (out2 / "compare.json").read_bytes()
 
     def np_and_error(out):
         return [line.rsplit(",", 1)[0] for line in (out / "error.csv").read_text().splitlines()]
@@ -363,8 +390,11 @@ def test_compare_rerun_from_run_json_runs_the_same_degrees(tmp_path):
     assert len(np_and_error(out1)) == 3
 
 
-def test_compare_refuses_three_players(tmp_path, capsys):
-    rc = main(["compare", "--preset", "example3", "--h", "0.01", "--tol", "1e-4",
-               "--rho", "0.5", "--nu", "2", "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "no oracle" in capsys.readouterr().err
+def test_compare_runs_four_players(tmp_path):
+    # The oracle is exact for any J where its feedback stays in [0, U_max].
+    out = tmp_path / "run"
+    assert main(["compare", "--preset", "example4", "--h", "0.01", "--np-list", "2,3",
+                 "--out", str(out)]) == 0
+    table = read_csv(out / "error.csv")
+    assert table["np"].tolist() == [2, 3]
+    assert 0.0 < table["error"][1] < table["error"][0] < 1e-2

@@ -5,11 +5,11 @@ import pytest
 
 from chebnash.game import (
     GameSpec,
+    _euler_step,
+    _stage_gain,
     build_state_grid,
     discounted_payoff,
     dynamics,
-    stage_payoff,
-    step,
 )
 from chebnash.presets import preset_spec
 
@@ -151,7 +151,7 @@ def test_decay_keeps_total_stock_non_increasing():
     rng = np.random.default_rng(7)
     for _ in range(5):
         p = rng.uniform(0, spec.P_max, 2)
-        nxt = step(spec, p, np.zeros(2))
+        nxt = _euler_step(spec, p, np.zeros(2))
         assert np.sum(spec.m * nxt) <= np.sum(spec.m * p) + 1e-15
 
 
@@ -160,21 +160,21 @@ def test_decay_keeps_total_stock_non_increasing():
 # ---------------------------------------------------------------------------
 
 def test_stage_payoff_zero():
-    assert stage_payoff(example1(), 0, 0.0, 0.0) == 0.0
+    assert _stage_gain(example1(), 0, 0.0, 0.0) == 0.0
 
 
 def test_stage_payoff_myopic_optimum():
-    assert stage_payoff(example1(), 0, 0.0, 0.5) == pytest.approx(0.125)
+    assert _stage_gain(example1(), 0, 0.0, 0.5) == pytest.approx(0.125)
 
 
 def test_stage_payoff_pure_damage():
-    assert stage_payoff(example1(), 1, 1.0, 0.0) == pytest.approx(-0.5)
+    assert _stage_gain(example1(), 1, 1.0, 0.0) == pytest.approx(-0.5)
 
 
 def test_stage_payoff_concave_in_control():
     spec = example1()
     u = np.linspace(0.0, 1.0, 11)
-    vals = stage_payoff(spec, 0, 0.3, u)
+    vals = _stage_gain(spec, 0, 0.3, u)
     second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
     assert np.all(second < 0)
 
@@ -182,27 +182,27 @@ def test_stage_payoff_concave_in_control():
 def test_stage_payoff_non_increasing_in_stock():
     spec = example1()
     p = np.linspace(0.0, 1.0, 11)
-    vals = stage_payoff(spec, 0, p, 0.2)
+    vals = _stage_gain(spec, 0, p, 0.2)
     assert np.all(np.diff(vals) <= 0)
 
 
 # ---------------------------------------------------------------------------
-# step
+# Euler step
 # ---------------------------------------------------------------------------
 
 def test_step_fixed_point_at_origin():
     spec = example1()
-    np.testing.assert_allclose(step(spec, [0.0, 0.0], [0.0, 0.0]), [0.0, 0.0])
+    np.testing.assert_allclose(_euler_step(spec, np.zeros(2), np.zeros(2)), [0.0, 0.0])
 
 
 def test_step_hand_evaluated():
     spec = example1(h=0.01, P_max=2.0)
-    np.testing.assert_allclose(step(spec, [1.0, 1.0], [0.0, 0.0]), [0.995, 0.995])
+    np.testing.assert_allclose(_euler_step(spec, np.ones(2), np.zeros(2)), [0.995, 0.995])
 
 
 def test_step_clamps_to_box():
     spec = example1(P_max=0.6, U_max=1.0, h=0.01)
-    nxt = step(spec, [0.6, 0.6], [1.0, 1.0])
+    nxt = _euler_step(spec, np.full(2, 0.6), np.ones(2))
     assert np.all(nxt <= spec.P_max)
 
 

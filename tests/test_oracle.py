@@ -3,12 +3,58 @@
 import numpy as np
 import pytest
 
-from chebnash.game import build_state_grid, step
-from chebnash.oracle import lq_bellman_update, lq_solve, policy_error
+from chebnash.game import _euler_step, build_state_grid
+from chebnash.oracle import lq_solve, policy_error
 from chebnash.presets import preset_spec
 
 # fast-converging settings for unit tests (larger rho*h)
 FAST = dict(rho=0.5, h=0.01, P_max=0.5, U_max=1.0, tol=1e-6)
+
+
+def _drift_matrix(spec):
+    """D in the model's drift g(p, u) = D p + beta * u."""
+    return (spec.K - np.diag(spec.K.sum(1))) / spec.m[:, None] - np.diag(spec.c)
+
+
+def _bellman_update(spec, Q, b, d, e, f):
+    """One exact best-response update of every player's quadratic data.
+
+    Written from the model, independently of the oracle's policy
+    iteration.  All players respond at once to u_j = e_j + f_j p.  With
+    the others' feedback in place, player i's next state is
+    p' = M p + w + z u, and it maximises
+    delta * (h G_i(p_i, u) + V_i(p')) with V_i(p) = p'Q_i p + b_i'p + d_i,
+    ignoring the control bounds: the maximiser is affine in p and the
+    maximum is quadratic.
+    """
+    J, h, delta = spec.J, spec.h, spec.delta
+    D = _drift_matrix(spec)
+    Qn, bn, dn, en, fn = (np.empty_like(x) for x in (Q, b, d, e, f))
+    for i in range(J):
+        others = np.arange(J) != i
+        M = np.eye(J) + h * (D + spec.beta[:, None] * np.where(others[:, None], f, 0.0))
+        w = h * spec.beta * np.where(others, e, 0.0)
+        z = np.zeros(J)
+        z[i] = h * spec.beta[i]
+        # The objective's u-derivative vanishes at u = en[i] + fn[i] @ p.
+        curvature = h - 2.0 * (z @ Q[i] @ z)
+        assert curvature > 0
+        en[i] = (h * spec.A[i] + z @ (2.0 * Q[i] @ w + b[i])) / curvature
+        fn[i] = 2.0 * (z @ Q[i] @ M) / curvature
+        # The closed loop with player i at that response: p' = Mc p + wc.
+        Mc = M + np.outer(z, fn[i])
+        wc = w + en[i] * z
+        # G_i = u (A_i - u/2) - (phi_i/2) p_i^2, split into its quadratic,
+        # linear and constant parts in p.
+        stage_quad = -0.5 * np.outer(fn[i], fn[i])
+        stage_quad[i, i] -= 0.5 * spec.phi[i]
+        stage_lin = (spec.A[i] - en[i]) * fn[i]
+        stage_const = spec.A[i] * en[i] - 0.5 * en[i] ** 2
+        Qn[i] = delta * (h * stage_quad + Mc.T @ Q[i] @ Mc)
+        Qn[i] = 0.5 * (Qn[i] + Qn[i].T)
+        bn[i] = delta * (h * stage_lin + Mc.T @ (2.0 * Q[i] @ wc + b[i]))
+        dn[i] = delta * (h * stage_const + wc @ Q[i] @ wc + b[i] @ wc + d[i])
+    return Qn, bn, dn, en, fn
 
 
 def test_decoupled_game_closed_form():
@@ -36,7 +82,7 @@ def test_two_player_symmetry_of_fixed_point():
 def test_one_update_leaves_fixed_point_unchanged():
     spec = preset_spec("example1", **FAST)
     fb = lq_solve(spec)
-    Qn, bn, dn, en, fn = lq_bellman_update(spec, fb.Q, fb.b, fb.d, fb.e, fb.f)
+    Qn, bn, dn, en, fn = _bellman_update(spec, fb.Q, fb.b, fb.d, fb.e, fb.f)
     assert np.max(np.abs(Qn - fb.Q)) < 1e-10
     assert np.max(np.abs(bn - fb.b)) < 1e-10
     assert np.max(np.abs(dn - fb.d)) < 1e-10
@@ -45,12 +91,12 @@ def test_one_update_leaves_fixed_point_unchanged():
 
 
 def _fixed_point_by_updates(spec):
-    """Iterate lq_bellman_update from zero values until (Q, b, e, f) settle; d in closed form."""
+    """Iterate _bellman_update from zero values until (Q, b, e, f) settle; d in closed form."""
     J = spec.J
     Q, b, d = np.zeros((J, J, J)), np.zeros((J, J)), np.zeros(J)
     e, f = spec.A.copy(), np.zeros((J, J))
     for _ in range(100_000):
-        Qn, bn, _, en, fn = lq_bellman_update(spec, Q, b, d, e, f)
+        Qn, bn, _, en, fn = _bellman_update(spec, Q, b, d, e, f)
         change = max(np.max(np.abs(x - y)) for x, y in [(Qn, Q), (bn, b), (en, e), (fn, f)])
         Q, b, e, f = Qn, bn, en, fn
         if change < 1e-13:
@@ -58,7 +104,7 @@ def _fixed_point_by_updates(spec):
     else:
         raise AssertionError("reference iteration did not settle")
     # The constant solves d = delta * (k + d), where one update from d = 0 gives delta * k.
-    _, _, once, _, _ = lq_bellman_update(spec, Q, b, np.zeros(J), e, f)
+    _, _, once, _, _ = _bellman_update(spec, Q, b, np.zeros(J), e, f)
     return Q, b, once / (1.0 - spec.delta), e, f
 
 
@@ -87,10 +133,7 @@ def test_value_satisfies_bellman_at_random_states(name):
     states = rng.uniform(0.05, spec.P_max * 0.9, (200, spec.J))
     u_star = fb.policy(states)
     v = fb.value(states)
-    nxt = states + spec.h * (
-        states @ ((spec.K - np.diag(spec.K.sum(1))) / spec.m[:, None] - np.diag(spec.c)).T
-        + spec.beta * u_star
-    )
+    nxt = states + spec.h * (states @ _drift_matrix(spec).T + spec.beta * u_star)
     gain = u_star * (spec.A - 0.5 * u_star) - 0.5 * spec.phi * states**2
     rhs = spec.delta * (spec.h * gain + fb.value(nxt))
     np.testing.assert_allclose(v, rhs, rtol=1e-6, atol=1e-9)
@@ -101,9 +144,9 @@ def test_feedback_simulates_to_bounded_stationary_stock():
     fb = lq_solve(spec)
     p = np.zeros(2)
     for _ in range(20_000):
-        p = step(spec, p, np.clip(fb.policy(p), 0.0, spec.U_max))
+        p = _euler_step(spec, p, np.clip(fb.policy(p), 0.0, spec.U_max))
         assert np.all(p <= spec.P_max) and np.all(p >= 0.0)
-    drift = step(spec, p, np.clip(fb.policy(p), 0.0, spec.U_max)) - p
+    drift = _euler_step(spec, p, np.clip(fb.policy(p), 0.0, spec.U_max)) - p
     np.testing.assert_allclose(drift, 0.0, atol=1e-8)
 
 

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from chebnash.cheb1d import clenshaw  # noqa: E402
 from chebnash.game import GameSpec  # noqa: E402
-from chebnash.presets import spec_from_dict, spec_to_dict  # noqa: E402
+from chebnash.presets import spec_to_dict  # noqa: E402
 from chebnash.solver import _maximise_block  # noqa: E402
 
 GRID = np.linspace(-1.0, 1.0, 2001)
@@ -60,7 +60,7 @@ def game_specs(draw):
 @given(game_specs())
 def test_spec_dictionary_round_trips_through_json(spec):
     data = spec_to_dict(spec)
-    back = spec_from_dict(json.loads(json.dumps(data)))
+    back = GameSpec(**json.loads(json.dumps(data)))
     assert spec_to_dict(back) == data
     for name in ("K", "beta", "phi", "A", "c", "m", "Np", "Nu"):
         np.testing.assert_array_equal(getattr(back, name), getattr(spec, name))

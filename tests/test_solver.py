@@ -13,15 +13,14 @@ from chebnash.oracle import lq_solve
 from chebnash.presets import preset_spec
 from chebnash.solver import (
     PolicyField,
-    ValueField,
     _NEWTON_STEPS,
     _colleague_argmax,
     _colleague_roots,
     _derivative_stack,
     _evaluate_policy,
     _maximise_block,
+    _run_sweep,
     _Workspace,
-    bellman_sweep,
     fit_policy,
     simulate,
     solve,
@@ -216,23 +215,28 @@ def test_nearly_flat_concave_row_stops_within_the_cap(monkeypatch):
 # bellman sweep
 # ---------------------------------------------------------------------------
 
+def _sweep(spec, grid, values, policy):
+    """One synchronous sweep of all players from node values and policy values."""
+    u_new, v_new, _ = _run_sweep(_Workspace(spec, grid), values, policy)
+    return v_new, u_new
+
+
 def _zero_fields(spec, grid):
-    zeros = np.zeros((spec.J, grid.n_nodes))
-    return ValueField(values=zeros.copy()), PolicyField(values=zeros.copy())
+    return np.zeros((spec.J, grid.n_nodes)), np.zeros((spec.J, grid.n_nodes))
 
 
 def test_first_sweep_from_zero_recovers_myopic_policy():
     spec = fast_spec(Np=2, Nu=3)
     grid = build_state_grid(spec)
     values, policy = _zero_fields(spec, grid)
-    v1, u1 = bellman_sweep(spec, grid, values, policy)
-    np.testing.assert_allclose(u1.values, 0.5, atol=1e-9)
+    v1, u1 = _sweep(spec, grid, values, policy)
+    np.testing.assert_allclose(u1, 0.5, atol=1e-9)
     # value = delta * h * G_i(p_i, A_i)
     for i in range(2):
         expect = spec.delta * spec.h * (
             0.5 * (0.5 - 0.25) - 0.5 * spec.phi[i] * grid.nodes[:, i] ** 2
         )
-        np.testing.assert_allclose(v1.values[i], expect, atol=1e-12)
+        np.testing.assert_allclose(v1[i], expect, atol=1e-12)
 
 
 def test_value_field_interpolants_reproduce_node_values():
@@ -289,12 +293,12 @@ def test_sweep_values_match_pointwise_successor_evaluation():
     rng = np.random.default_rng(11)
     v = rng.standard_normal((spec.J, grid.n_nodes))
     u = rng.uniform(0.0, spec.U_max, (spec.J, grid.n_nodes))
-    swept, _ = bellman_sweep(spec, grid, ValueField(v), PolicyField(u))
+    swept, _ = _sweep(spec, grid, v, u)
     for i, pw in enumerate(ws.players):
         succ = _pointwise_successor_values(spec, grid, i, v[i], u, pw.u_nodes)
         objective = spec.delta * (pw.stage + succ)
         _, best = _maximise_block(objective @ pw.M0.T)
-        np.testing.assert_allclose(swept.values[i], best, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(swept[i], best, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +384,8 @@ def test_contraction_of_sup_differences():
     values, policy = _zero_fields(spec, grid)
     diffs = []
     for _ in range(200):
-        new_values, policy = bellman_sweep(spec, grid, values, policy)
-        diffs.append(np.max(np.abs(new_values.values - values.values)))
+        new_values, policy = _sweep(spec, grid, values, policy)
+        diffs.append(np.max(np.abs(new_values - values)))
         values = new_values
     tail = np.array(diffs[-15:])
     ratios = tail[1:] / tail[:-1]
@@ -449,8 +453,8 @@ def test_converged_result_is_a_fixed_point_to_tolerance():
     result = solve_quiet(spec)
     assert result.converged
     grid = build_state_grid(spec)
-    values, _ = bellman_sweep(spec, grid, result.values, result.policy)
-    moved = np.max(np.abs(values.values - result.values.values))
+    values, _ = _sweep(spec, grid, result.values.values, result.policy.values)
+    moved = np.max(np.abs(values - result.values.values))
     assert moved <= spec.tol * (1.0 - spec.delta)
     assert moved == result.history[-1].max()
 
