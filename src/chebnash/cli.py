@@ -50,6 +50,7 @@ _GAME_FLAGS = {"np": "Np", "nu": "Nu", "h": "h", "tol": "tol", "rho": "rho",
 # Run keys besides the game.  A command reads, and its run.json echoes,
 # exactly the keys it has a flag for.
 _RUN_KEYS = ("p0", "sim_horizon", "np_list")
+_TOO_LONG = "sim_horizon {!r} at h = {!r} is {:.6g} Euler steps, too many to hold in memory"
 
 
 class ConfigError(Exception):
@@ -139,6 +140,10 @@ def _spec_from_config(cfg: dict, keys: list[str]) -> GameSpec:
         # The upper bound also refuses integers past the float range.
         if not (_is_number(horizon) and 0.0 <= horizon <= sys.float_info.max):
             raise ConfigError(f"sim_horizon must be a finite number >= 0, got {horizon!r}")
+        steps = horizon / spec.h
+        # The path's t, states and controls, 8 bytes each, past the 128 TiB address space.
+        if 8 * (2 * spec.J + 1) * (steps + 1) > 2.0**47:
+            raise ConfigError(_TOO_LONG.format(horizon, spec.h, steps))
     if "np_list" in keys:
         degrees = cfg.get("np_list")
         if not (isinstance(degrees, list) and degrees
@@ -173,7 +178,10 @@ def _resolve_run(args) -> tuple[dict, GameSpec]:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:      # e.g. a file where the directory or a parent should be
+        raise ConfigError(f"cannot use {out} as the output directory: {exc}") from exc
     return out
 
 
@@ -254,7 +262,10 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"{policy_file} holds a non-numeric or non-finite control")
     policies = fit_policy(grid, PolicyField(values=policy_values))
     n_steps = int(round(cfg["sim_horizon"] / spec.h))
-    path = simulate(spec, policies, cfg["p0"], n_steps)
+    try:
+        path = simulate(spec, policies, cfg["p0"], n_steps)
+    except MemoryError as exc:
+        raise ConfigError(_TOO_LONG.format(cfg["sim_horizon"], spec.h, n_steps)) from exc
     _write_csv(
         out / "timepath.csv",
         ["t"] + [f"p_{d+1}" for d in range(spec.J)] + [f"u_{d+1}" for d in range(spec.J)],

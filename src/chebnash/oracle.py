@@ -5,10 +5,10 @@ quadratic value functions and affine feedback policies to the same family
 as long as the control constraints stay inactive.  The equilibrium of
 that unconstrained game is therefore found in coefficient space without
 any interpolation, by policy iteration (Newton-Kleinman; Kleinman 1968,
-Li & Gajic 1995): each affine profile is evaluated exactly, one discrete
-Stein equation for the quadratic forms of all players, and every player
-then takes the closed-form best response to it.  The oracle is fully
-independent of the collocation machinery.
+Li & Gajic 1995): each affine profile's closed loop p' = M p + w is built
+once, the profile is evaluated exactly on it (one Stein equation for all
+players' quadratic forms), and one vectorised step reads every player's
+best response from the same loop, with no collocation machinery.
 
 The value ansatz is V_i(p) = p' Q_i p + b_i' p + d_i with feedback
 u_i(p) = max(0, e_i + f_i' p).  The oracle records the fraction of grid
@@ -66,30 +66,8 @@ def _drift_matrix(spec: GameSpec) -> np.ndarray:
     return (spec.K - np.diag(rowsum)) / spec.m[:, None] - np.diag(spec.c)
 
 
-def _best_response(
-    spec: GameSpec, D: np.ndarray, i: int, Qi: np.ndarray, bi: np.ndarray,
-    e: np.ndarray, f: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Player i's interior best response (e_i, f_i) to value (Qi, bi) and the others' feedback."""
-    J = spec.J
-    h = spec.h
-    others = np.arange(J) != i
-    E = np.where(others, e, 0.0)
-    F = np.where(others[:, None], f, 0.0)
-    M = np.eye(J) + h * (D + spec.beta[:, None] * F)
-    w = h * spec.beta * E
-    z = np.zeros(J)
-    z[i] = h * spec.beta[i]
-    denom = h - 2.0 * (z @ Qi @ z)
-    if denom <= 0:
-        raise FloatingPointError("interior maximisation is not concave")
-    e_new = (h * spec.A[i] + z @ (2.0 * Qi @ w + bi)) / denom
-    f_new = (2.0 * (z @ Qi) @ M) / denom
-    return e_new, f_new
-
-
 def _evaluate_profile(
-    spec: GameSpec, D: np.ndarray, e: np.ndarray, f: np.ndarray
+    spec: GameSpec, M: np.ndarray, w: np.ndarray, e: np.ndarray, f: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Exact quadratic values (Q, b, d) of every player under u = e + f p.
 
@@ -100,8 +78,6 @@ def _evaluate_profile(
     """
     J = spec.J
     h, delta = spec.h, spec.delta
-    M = np.eye(J) + h * (D + spec.beta[:, None] * f)
-    w = h * spec.beta * e
     S = -0.5 * f[:, :, None] * f[:, None, :]            # (J, J, J): S[i] quadratic stage
     S[np.arange(J), np.arange(J), np.arange(J)] -= 0.5 * spec.phi
     stein = np.eye(J * J) - delta * np.kron(M.T, M.T)
@@ -114,16 +90,41 @@ def _evaluate_profile(
     return Q, b, d
 
 
+def _best_responses(
+    spec: GameSpec, D: np.ndarray, M: np.ndarray, w: np.ndarray, Q: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every player's interior best response (e, f) to values (Q, b) on the loop p' = M p + w.
+
+    Player i moves only coordinate i, by z_i = h beta_i per unit of
+    control, so it reads only q_i = Q_i[i, :] and faces the loop without
+    its own feedback: row i of M loses h beta_i f_i (it is that of
+    I + h D) and entry i of w drops out.
+    """
+    J, h = spec.J, spec.h
+    own = np.arange(J)
+    z = h * spec.beta
+    q = Q[own, own]                                                   # (J, J)
+    denom = h - 2.0 * (z * q[own, own] * z)
+    if np.any(denom <= 0):
+        raise FloatingPointError("interior maximisation is not concave")
+    mine = np.eye(J, dtype=bool)
+    M_i = np.where(mine[:, :, None], np.eye(J) + h * D, M)           # (J, J, J)
+    e_new = (h * spec.A + z * (2.0 * np.einsum("ia,ia->i", q, w * ~mine) + b[own, own])) / denom
+    f_new = ((2.0 * (z[:, None] * q))[:, None, :] @ M_i)[:, 0] / denom[:, None]
+    return e_new, f_new
+
+
 def lq_solve(spec: GameSpec, grid: StateGrid | None = None) -> LQFeedback:
     """Equilibrium of the unconstrained linear-quadratic game.
 
     Policy iteration in coefficient space from the myopic profile
-    u_i = A_i: each affine profile is evaluated exactly (one Stein
-    equation for all players' quadratic forms, then the linear and
-    constant terms), and every player takes the closed-form best response
-    to that value and the others' feedback.  The iteration stops when the
-    response moves (e, f) by less than 1e-13; the returned values are
-    those of the returned feedback.  `iterations` counts evaluations.
+    u_i = A_i: each profile's closed loop M = I + h(D + diag(beta) f),
+    w = h beta e is built once, the profile is evaluated exactly on it (one
+    Stein equation for all quadratic forms, then the linear and constant
+    terms), and every player's best response is read from the same loop.
+    It stops when the response moves (e, f) by less than 1e-13; the
+    returned values are those of the returned feedback.  `iterations`
+    counts evaluations.
 
     Parameters
     ----------
@@ -144,10 +145,10 @@ def lq_solve(spec: GameSpec, grid: StateGrid | None = None) -> LQFeedback:
     e = spec.A.copy()
     f = np.zeros((J, J))
     for it in range(1, _MAX_ITERS + 1):
-        Q, b, d = _evaluate_profile(spec, D, e, f)
-        en, fn = np.empty_like(e), np.empty_like(f)
-        for i in range(J):
-            en[i], fn[i] = _best_response(spec, D, i, Q[i], b[i], e, f)
+        M = np.eye(J) + spec.h * (D + spec.beta[:, None] * f)
+        w = spec.h * spec.beta * e
+        Q, b, d = _evaluate_profile(spec, M, w, e, f)
+        en, fn = _best_responses(spec, D, M, w, Q, b)
         change = max(np.max(np.abs(en - e)), np.max(np.abs(fn - f)))
         if change < _COEF_TOL:
             break

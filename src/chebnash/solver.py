@@ -1,17 +1,18 @@
 """Collocation solver for the feedback equilibrium of the pollution game.
 
 The iteration keeps, for every player, the node values of the value
-function and the current policy values.  One sweep performs, at every
-state node and for every player:
+function and the current policy values.  Each joint policy has one
+successor operator (:func:`_successor_operator`): for every player, the
+affine drift g(p, u) in closed form at the player's control nodes, the
+other players held at their policy values, the Euler successor states and
+their per-axis cardinal rows.  One sweep (:func:`_run_sweep`) reads it
+and performs, for every player at all state nodes in one pass:
 
-1. evaluate the affine drift g(p, u) in closed form at the player's
-   control nodes, the other players held at their current policy values,
-   and take the Euler successor states;
-2. evaluate the player's value interpolant at all successor states from
+1. evaluate the player's value interpolant at all successor states from
    its node values, binding the other players' axes once per node and the
    own axis once per control (:func:`_cardinal_matrix`), and form the
    candidate objective: stage gain plus discounted successor value;
-3. fit the one-dimensional Chebyshev interpolant of those samples and
+2. fit the one-dimensional Chebyshev interpolant of those samples and
    maximise it over the control interval (:func:`_maximise_block`).  A
    row whose second-derivative series certifies f'' < 0 on the interval
    has at most one critical point: an endpoint when f' keeps one sign
@@ -24,15 +25,13 @@ The driver (:func:`solve`) runs safeguarded policy iteration.  It starts
 from the equilibrium of the unconstrained linear-quadratic game
 (:func:`chebnash.oracle.lq_solve`): that oracle's values at the nodes and
 its policy clipped to [0, U_max].  A sweep's best responses are the
-improvement step; the joint policy they form is then evaluated exactly
-(:func:`_evaluate_policy`, one dense linear solve per player), and the
-next sweep starts from those values.  A proposal whose sweep does not
+improvement step; solve builds the operator at the joint policy they
+form, evaluates that policy exactly with it (:func:`_evaluate_policy`,
+one dense linear solve per player), and the next sweep starts from those
+values and reads the same operator.  A proposal whose sweep does not
 lower the Bellman residual is rejected: the driver resumes from the sweep
-that made it and takes 1, 2, 4, ... plain value-iteration steps before
-the next proposal.
-
-Every sweep and every policy evaluation handles all nodes of a player in
-one pass.
+that made it, at the same policy and operator, and takes 1, 2, 4, ...
+plain value-iteration steps before the next proposal.
 
 Successor states are clamped to the state box before interpolation; the
 solver warns when more than 1% of the sampled successor components clamp,
@@ -321,97 +320,85 @@ def _cardinal_matrix(rows: list[np.ndarray]) -> np.ndarray:
     return card
 
 
-def _successor_points(
-    ws: _Workspace, i: int, policy_values: np.ndarray
-) -> tuple[list[np.ndarray], int]:
-    """Clamped Euler successors of player i's control nodes at every node.
+def _successor_operator(
+    ws: _Workspace, policy_values: np.ndarray
+) -> tuple[list[list[np.ndarray]], int]:
+    """Every player's successor operator at a joint policy, and its clamp count.
 
-    The other players are held at `policy_values`; the own control moves
-    only coordinate i, so `dynamics` runs once per node with u_i = 0.
-    Returns reference coordinates per axis, N_P for d != i and N_P*K
-    (node-major) for axis i, and the clamp count over all N_P*K*J
-    successor components (a clamped coordinate d != i counts K times).
+    Player i's entry holds the per-axis cardinal rows (:func:`_cardinal_rows`)
+    of its clamped Euler successors, the others at `policy_values` and the own
+    control at each control node: (N_P, s_d) for axis d != i, (N_P, K, s_i)
+    for axis i.  The own control moves only coordinate i, so `dynamics` runs
+    once per node with u_i = 0.  The count runs over all J*N_P*K*J successor
+    components (a clamped coordinate d != i counts K times).
     """
     spec = ws.spec
-    pw = ws.players[i]
-    u = policy_values.T.copy()
-    u[:, i] = 0.0
-    drift = np.repeat(dynamics(spec, ws.grid.nodes, u)[:, None, :], pw.K, axis=1)
-    drift[:, :, i] += spec.beta[i] * pw.u_nodes                        # (N_P, K, J)
-    nxt = ws.grid.nodes[:, None, :] + spec.h * drift
-    clipped = np.clip(nxt, 0.0, spec.P_max)
-    ref = clipped * ws.p_scale - 1.0
-    coords = [ref[:, 0, d] for d in range(spec.J)]
-    coords[i] = ref[:, :, i].ravel()
-    return coords, int(np.count_nonzero(clipped != nxt))
-
-
-def _best_response_block(
-    ws: _Workspace,
-    i: int,
-    node_values: np.ndarray,
-    policy_values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Best response of player i at every node: (controls, values, clamp count)."""
-    spec = ws.spec
-    pw = ws.players[i]
-
-    # Step 1: drift at the player's own control nodes, the others at their
-    # current controls, and the Euler successor states.
-    coords, n_clamped = _successor_points(ws, i, policy_values)
-
-    # Step 2: discounted objective at the player's control nodes.
-    rows = _cardinal_rows(ws, coords)
-    own = rows.pop(i).reshape(ws.grid.n_nodes, pw.K, -1)                # (N_P, K, s_i)
-    tensor = np.moveaxis(node_values[i].reshape(ws.grid.shape, order="F"), i, -1)
-    partial = _cardinal_matrix(rows) @ tensor.reshape(-1, own.shape[2], order="F")
-    v_next = np.einsum("nka,na->nk", own, partial)
-    objective = spec.delta * (pw.stage + v_next)
-    if not np.all(np.isfinite(objective)):
-        raise FloatingPointError("non-finite objective sample in sweep")
-
-    # Step 3: fit in the own control and maximise.
-    coef = np.matmul(pw.M0, objective[:, :, None])[:, :, 0]
-    x_best, f_best = _maximise_block(coef)
-    return (x_best + 1.0) * (0.5 * spec.U_max), f_best, n_clamped
+    ops, n_clamped = [], 0
+    for i, pw in enumerate(ws.players):
+        u = policy_values.T.copy()
+        u[:, i] = 0.0
+        drift = np.repeat(dynamics(spec, ws.grid.nodes, u)[:, None, :], pw.K, axis=1)
+        drift[:, :, i] += spec.beta[i] * pw.u_nodes                    # (N_P, K, J)
+        nxt = ws.grid.nodes[:, None, :] + spec.h * drift
+        clipped = np.clip(nxt, 0.0, spec.P_max)
+        n_clamped += int(np.count_nonzero(clipped != nxt))
+        ref = clipped * ws.p_scale - 1.0
+        coords = [ref[:, 0, d] for d in range(spec.J)]
+        coords[i] = ref[:, :, i].ravel()
+        rows = _cardinal_rows(ws, coords)
+        rows[i] = rows[i].reshape(len(ref), pw.K, -1)
+        ops.append(rows)
+    return ops, n_clamped
 
 
 def _run_sweep(
-    ws: _Workspace,
-    node_values: np.ndarray,
-    policy_values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    us, vs, clamps = zip(*(
-        _best_response_block(ws, i, node_values, policy_values) for i in range(ws.spec.J)
-    ))
-    return np.stack(us), np.stack(vs), sum(clamps)
+    ws: _Workspace, ops: list[list[np.ndarray]], node_values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best responses (controls, values), each (J, N_P), at the policy of operator `ops`."""
+    spec = ws.spec
+    u_best, v_best = np.empty((2, spec.J, ws.grid.n_nodes))
+    for i, (pw, rows) in enumerate(zip(ws.players, ops)):
+        # Discounted objective at the player's control nodes: the other
+        # axes bound once per node, then the own axis once per control.
+        own = rows[i]                                                   # (N_P, K, s_i)
+        tensor = np.moveaxis(node_values[i].reshape(ws.grid.shape, order="F"), i, -1)
+        partial = _cardinal_matrix(rows[:i] + rows[i + 1:]) @ tensor.reshape(
+            -1, own.shape[2], order="F")
+        objective = spec.delta * (pw.stage + np.einsum("nka,na->nk", own, partial))
+        if not np.all(np.isfinite(objective)):
+            raise FloatingPointError("non-finite objective sample in sweep")
+        # Fit in the own control and maximise.
+        x, v_best[i] = _maximise_block(np.matmul(pw.M0, objective[:, :, None])[:, :, 0])
+        u_best[i] = (x + 1.0) * (0.5 * spec.U_max)
+    return u_best, v_best
 
 
 # ---------------------------------------------------------------------------
 # exact policy evaluation
 # ---------------------------------------------------------------------------
 
-def _evaluate_policy(ws: _Workspace, policy_values: np.ndarray) -> np.ndarray:
+def _evaluate_policy(
+    ws: _Workspace, ops: list[list[np.ndarray]], policy_values: np.ndarray
+) -> np.ndarray:
     """Node values (J, N_P) of the fixed point of the sweep at a fixed policy.
 
-    With every player's control held at `policy_values`, the sweep's value
-    at node n is the fitted objective at the player's own control,
-    delta * sum_k w_k (stage_k + V_i(successor_k)), where w holds the
-    control-interpolation weights of that control.  The successor value is
-    linear in the node values through the sweep's cardinal matrix, and
-    only its own-axis row depends on k, so E_i is that matrix built with
-    the own-axis row sum_k w_k C_i[n, k, :].  The fixed point solves
-    (I - delta E_i) V_i = delta sum_k w_k stage_k, one dense N_P x N_P
-    system per player.  Raises LinAlgError when a system is singular.
+    With every player's control held at `policy_values`, whose successor
+    operator is `ops`, the sweep's value at node n is the fitted objective
+    at the own control, delta * sum_k w_k (stage_k + V_i(successor_k)),
+    where w holds the control-interpolation weights of that control.  The
+    successor value is linear in the node values through the operator's
+    cardinal matrix, and only its own-axis row depends on k, so E_i is that
+    matrix built with the own-axis row sum_k w_k C_i[n, k, :].  The fixed
+    point solves (I - delta E_i) V_i = delta sum_k w_k stage_k, one dense
+    N_P x N_P system per player.  Raises LinAlgError when one is singular.
     """
     spec = ws.spec
     n = ws.grid.n_nodes
     out = np.empty((spec.J, n))
-    for i, pw in enumerate(ws.players):
-        coords, _ = _successor_points(ws, i, policy_values)
-        rows = _cardinal_rows(ws, coords)
+    for i, (pw, rows) in enumerate(zip(ws.players, ops)):
         w = _row_basis(policy_values[i] * ws.u_scale - 1.0, pw.K) @ pw.M0   # (n, K)
-        rows[i] = np.einsum("nk,nka->na", w, rows[i].reshape(n, pw.K, -1))
+        rows = list(rows)
+        rows[i] = np.einsum("nk,nka->na", w, rows[i])
         # I - delta E, built in place.
         A = _cardinal_matrix(rows)
         A *= -spec.delta
@@ -438,12 +425,6 @@ def _initial_fields(spec: GameSpec, grid: StateGrid, init) -> tuple[np.ndarray, 
     if np.any(u < 0.0) or np.any(u > spec.U_max):
         raise ValueError("initial policy outside [0, U_max]")
     return v, u
-
-
-def _lq_start(spec: GameSpec, grid: StateGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The LQ oracle's node values and its policy clipped to [0, U_max]."""
-    fb = lq_solve(spec, grid)
-    return fb.value(grid.nodes).T, np.clip(fb.policy(grid.nodes).T, 0.0, spec.U_max)
 
 
 def solve(spec: GameSpec, init=None) -> EquilibriumResult:
@@ -490,7 +471,10 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     fields = None if init is None else _initial_fields(spec, grid, init)
     targets_per_sweep = n * sum(pw.K for pw in ws.players) * spec.J
     t_setup = time.perf_counter()
-    v_values, u_values = _lq_start(spec, grid) if fields is None else fields
+    if fields is None:      # the LQ oracle's node values and clipped policy
+        fb = lq_solve(spec, grid)
+        fields = fb.value(grid.nodes).T, np.clip(fb.policy(grid.nodes).T, 0.0, spec.U_max)
+    v_values, u_values = fields
     t_start = time.perf_counter()
 
     history = []
@@ -501,8 +485,10 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     wait = 1            # value-iteration steps after the next rejection
     vi_left = 0         # value-iteration steps before the next proposal
     fallback = None     # (Tv, u', residual) of the sweep before a proposal
+    # The operator at u_values; a rejection returns to the policy it was built at.
+    ops, clamped = _successor_operator(ws, u_values)
     for iterations in range(1, spec.max_iters + 1):
-        u_new, v_new, clamped = _run_sweep(ws, v_values, u_values)
+        u_new, v_new = _run_sweep(ws, ops, v_values)
         clamp_fraction = max(clamp_fraction, clamped / targets_per_sweep)
         diffs = np.max(np.abs(v_new - v_values), axis=1)
         history.append(diffs)
@@ -520,12 +506,13 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
         else:
             fallback = None
             v_values, u_values = v_new, u_new
+            ops, clamped = _successor_operator(ws, u_values)
             if vi_left:
                 vi_left -= 1
             else:
                 evaluations += 1
                 try:
-                    proposal = _evaluate_policy(ws, u_values)
+                    proposal = _evaluate_policy(ws, ops, u_values)
                 except np.linalg.LinAlgError:
                     proposal = None
                 if proposal is not None and np.all(np.isfinite(proposal)):

@@ -280,6 +280,12 @@ def _simulate_edited_run(tmp_path, **edit):
     return ["simulate", "--out", str(out)]
 
 
+def _file_at_run(tmp_path, *argv):
+    """`argv`, after putting a plain file where the directory <tmp>/run would go."""
+    (tmp_path / "run").write_text("")
+    return list(argv)
+
+
 @pytest.mark.parametrize("make_argv, message", [
     (lambda tmp: ["compare", "--preset", "example1", "--pm", "1.2", "--np-list", "2",
                   "--out", str(tmp / "run")], "oracle invalid"),
@@ -314,21 +320,49 @@ def _simulate_edited_run(tmp_path, **edit):
      "not settled"),
     (lambda tmp: _config_file(tmp, {"preset": "example1", "np_list": 2}, "compare"),
      "np_list"),
+    (lambda tmp: _file_at_run(tmp, "solve", "--preset", "example1", "--out", str(tmp / "run")),
+     "cannot use {tmp}/run as the output directory"),
+    (lambda tmp: _file_at_run(tmp, "compare", "--preset", "example1", "--h", "0.01",
+                              "--np-list", "2", "--out", str(tmp / "run" / "x")),
+     "cannot use {tmp}/run/x as the output directory"),
+    # Both paths exceed the 128 TiB address space; none may be allocated.
+    (lambda tmp: [*_simulate_edited_run(tmp), "--sim-horizon", "1e13"],
+     "sim_horizon 10000000000000.0 at h = 0.01 is 1e+15 Euler steps"),
+    (lambda tmp: ["solve", "--preset", "example1", "--sim-horizon", "1e300",
+                  "--out", str(tmp / "run")], "sim_horizon 1e+300 at h = 0.001 is 1e+303"),
 ], ids=["invalid-oracle", "np-list-0", "config-list", "game-list", "p0-number",
         "J-string", "no-sim_horizon", "p0-strings", "np-empty", "nu-empty", "np-string",
         "np-list-empty", "p0-outside-box", "negative-horizon", "p0-bools", "horizon-bool",
-        "horizon-past-float-range", "lq-unsettled", "compare-lq-unsettled", "np_list-number"])
+        "horizon-past-float-range", "lq-unsettled", "compare-lq-unsettled", "np_list-number",
+        "out-is-a-file", "out-under-a-file", "simulate-path-past-memory",
+        "solve-path-past-memory"])
 def test_malformed_input_is_usage_error_before_any_work(tmp_path, capsys, make_argv, message):
     argv = make_argv(tmp_path)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and message.format(tmp=tmp_path) in err
     assert not (tmp_path / "run" / "error.csv").exists()
     assert not (tmp_path / "run" / "timepath.csv").exists()
     if argv[0] != "simulate":       # simulate reads the run.json that solve wrote
         assert not (tmp_path / "run" / "run.json").exists()
     assert not (tmp_path / "run" / "compare.json").exists()
+
+
+def test_simulate_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    # A path inside the address space can still need more memory than there
+    # is; the stub stands in for an allocation that fails.
+    argv = _simulate_edited_run(tmp_path)
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("chebnash.cli.simulate", out_of_memory)
+    capsys.readouterr()
+    assert main([*argv, "--sim-horizon", "1e9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at h = 0.01 is 1e+11 Euler steps" in err
+    assert not (tmp_path / "run" / "timepath.csv").exists()
 
 
 def test_policy_roundtrip_is_lossless(tmp_path):

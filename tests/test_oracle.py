@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chebnash.game import _euler_step, build_state_grid
+from chebnash.game import GameSpec, _euler_step, build_state_grid
 from chebnash.oracle import lq_solve, policy_error
 from chebnash.presets import preset_spec
 
@@ -79,8 +79,25 @@ def test_two_player_symmetry_of_fixed_point():
     assert fb.d[0] == pytest.approx(fb.d[1], abs=1e-11)
 
 
-def test_one_update_leaves_fixed_point_unchanged():
-    spec = preset_spec("example1", **FAST)
+def _asymmetric_game(J, seed):
+    """J players whose beta, phi, A, c, m and coupling entries all differ.
+
+    The presets give every player the same beta, phi, A, c and m, so a
+    per-player factor applied along the wrong axis still passes them.
+    """
+    rng = np.random.default_rng(seed)
+    K = rng.uniform(0.2, 1.0, (J, J))
+    np.fill_diagonal(K, 0.0)
+    draw = {name: rng.uniform(lo, hi, J) for name, lo, hi in [
+        ("beta", 0.5, 1.5), ("phi", 0.5, 1.5), ("A", 0.3, 0.6), ("c", 0.3, 0.7), ("m", 0.5, 2.0)]}
+    return GameSpec(J=J, K=K, **draw, rho=0.5, h=0.01, P_max=0.5, U_max=1.0, Np=2, Nu=2,
+                    tol=1e-6)
+
+
+@pytest.mark.parametrize("spec", [
+    preset_spec("example1", **FAST), *(_asymmetric_game(J, seed=J) for J in (2, 3, 4)),
+], ids=["example1", "asymmetric-2", "asymmetric-3", "asymmetric-4"])
+def test_one_update_leaves_fixed_point_unchanged(spec):
     fb = lq_solve(spec)
     Qn, bn, dn, en, fn = _bellman_update(spec, fb.Q, fb.b, fb.d, fb.e, fb.f)
     assert np.max(np.abs(Qn - fb.Q)) < 1e-10

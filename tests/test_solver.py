@@ -20,6 +20,7 @@ from chebnash.solver import (
     _evaluate_policy,
     _maximise_block,
     _run_sweep,
+    _successor_operator,
     _Workspace,
     fit_policy,
     simulate,
@@ -217,7 +218,8 @@ def test_nearly_flat_concave_row_stops_within_the_cap(monkeypatch):
 
 def _sweep(spec, grid, values, policy):
     """One synchronous sweep of all players from node values and policy values."""
-    u_new, v_new, _ = _run_sweep(_Workspace(spec, grid), values, policy)
+    ws = _Workspace(spec, grid)
+    u_new, v_new = _run_sweep(ws, _successor_operator(ws, policy)[0], values)
     return v_new, u_new
 
 
@@ -276,7 +278,7 @@ def test_policy_evaluation_is_the_sweeps_fixed_point_at_that_policy():
     grid = build_state_grid(spec)
     ws = _Workspace(spec, grid)
     u = np.random.default_rng(5).uniform(0.0, spec.U_max, (spec.J, grid.n_nodes))
-    V = _evaluate_policy(ws, u)
+    V = _evaluate_policy(ws, _successor_operator(ws, u)[0], u)
     for i, pw in enumerate(ws.players):
         succ = _pointwise_successor_values(spec, grid, i, V[i], u, pw.u_nodes)
         w = basis_matrix(u[i] * ws.u_scale - 1.0, pw.K - 1) @ pw.M0
@@ -448,10 +450,26 @@ def test_fallback_wait_grows_across_accepted_proposals():
     assert result.converged
 
 
-def test_converged_result_is_a_fixed_point_to_tolerance():
-    spec = fast_spec(Np=3, Nu=3)
+# The LQ start's iteration rejects proposals on this spec, so it runs the
+# revert path: 86 sweeps, 16 evaluations and 6 rejected proposals.
+REJECTING = dict(rho=0.5, h=0.01, tol=1e-4, Np=2, Nu=2)
+
+
+def test_rejecting_spec_keeps_its_counts():
+    result = solve_quiet(preset_spec("example1", **REJECTING))
+    assert result.converged
+    assert (result.iterations, result.evaluations, result.rejected) == (86, 16, 6)
+
+
+@pytest.mark.parametrize("spec, rejects", [
+    (fast_spec(Np=3, Nu=3), False),
+    (preset_spec("example1", **REJECTING), True),
+], ids=["fast", "rejecting"])
+def test_converged_result_is_a_fixed_point_to_tolerance(spec, rejects):
     result = solve_quiet(spec)
     assert result.converged
+    if rejects:
+        assert result.rejected >= 1
     grid = build_state_grid(spec)
     values, _ = _sweep(spec, grid, result.values.values, result.policy.values)
     moved = np.max(np.abs(values - result.values.values))
