@@ -67,48 +67,53 @@ def _drift_matrix(spec: GameSpec) -> np.ndarray:
 
 
 def _evaluate_profile(
-    spec: GameSpec, M: np.ndarray, w: np.ndarray, e: np.ndarray, f: np.ndarray
+    spec: GameSpec, M: np.ndarray, w: np.ndarray, e: np.ndarray, f: np.ndarray,
+    eye: np.ndarray, eye2: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """Exact quadratic values (Q, b, d) of every player under u = e + f p.
 
     All players share the closed loop p' = M p + w, so the quadratic
     forms solve one discrete Stein equation Q_i = delta (h S_i + M' Q_i M),
     a J^2 x J^2 system with one right-hand side per player; the linear
-    terms take one J x J solve and the constants are explicit.
+    terms take one J x J solve and the constants are explicit.  `eye` and
+    `eye2` are the identities of size J and J^2.
     """
     J = spec.J
     h, delta = spec.h, spec.delta
     S = -0.5 * f[:, :, None] * f[:, None, :]            # (J, J, J): S[i] quadratic stage
-    S[np.arange(J), np.arange(J), np.arange(J)] -= 0.5 * spec.phi
-    stein = np.eye(J * J) - delta * np.kron(M.T, M.T)
+    S.reshape(-1)[:: J * J + J + 1] -= 0.5 * spec.phi   # the entries S[i, i, i]
+    # kron(M', M') as a broadcast product: entry (aJ + c, bJ + d) is M'[a, b] M'[c, d].
+    Mt = M.T
+    stein = eye2 - delta * (Mt[:, None, :, None] * Mt[None, :, None, :]).reshape(J * J, J * J)
     Q = np.linalg.solve(stein, delta * h * S.reshape(J, J * J).T).T.reshape(J, J, J)
     Q = 0.5 * (Q + Q.transpose(0, 2, 1))
     linear = h * (spec.A - e)[:, None] * f + 2.0 * (Q @ w) @ M
-    b = np.linalg.solve(np.eye(J) - delta * M.T, delta * linear.T).T
+    b = np.linalg.solve(eye - delta * M.T, delta * linear.T).T
     const = h * (spec.A * e - 0.5 * e**2) + np.einsum("a,iab,b->i", w, Q, w) + b @ w
     d = delta * const / (1.0 - delta)
     return Q, b, d
 
 
 def _best_responses(
-    spec: GameSpec, D: np.ndarray, M: np.ndarray, w: np.ndarray, Q: np.ndarray, b: np.ndarray
+    spec: GameSpec, open_loop: np.ndarray, mine: np.ndarray,
+    M: np.ndarray, w: np.ndarray, Q: np.ndarray, b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every player's interior best response (e, f) to values (Q, b) on the loop p' = M p + w.
 
     Player i moves only coordinate i, by z_i = h beta_i per unit of
     control, so it reads only q_i = Q_i[i, :] and faces the loop without
     its own feedback: row i of M loses h beta_i f_i (it is that of
-    I + h D) and entry i of w drops out.
+    `open_loop` = I + h D) and entry i of w drops out.  `mine` is the
+    J x J boolean identity.
     """
-    J, h = spec.J, spec.h
-    own = np.arange(J)
+    h = spec.h
+    own = np.arange(spec.J)
     z = h * spec.beta
     q = Q[own, own]                                                   # (J, J)
     denom = h - 2.0 * (z * q[own, own] * z)
     if np.any(denom <= 0):
         raise FloatingPointError("interior maximisation is not concave")
-    mine = np.eye(J, dtype=bool)
-    M_i = np.where(mine[:, :, None], np.eye(J) + h * D, M)           # (J, J, J)
+    M_i = np.where(mine[:, :, None], open_loop, M)                    # (J, J, J)
     e_new = (h * spec.A + z * (2.0 * np.einsum("ia,ia->i", q, w * ~mine) + b[own, own])) / denom
     f_new = ((2.0 * (z[:, None] * q))[:, None, :] @ M_i)[:, 0] / denom[:, None]
     return e_new, f_new
@@ -142,13 +147,16 @@ def lq_solve(spec: GameSpec, grid: StateGrid | None = None) -> LQFeedback:
     """
     J = spec.J
     D = _drift_matrix(spec)
+    eye, eye2 = np.eye(J), np.eye(J * J)
+    open_loop = eye + spec.h * D
+    mine = np.eye(J, dtype=bool)
     e = spec.A.copy()
     f = np.zeros((J, J))
     for it in range(1, _MAX_ITERS + 1):
-        M = np.eye(J) + spec.h * (D + spec.beta[:, None] * f)
+        M = eye + spec.h * (D + spec.beta[:, None] * f)
         w = spec.h * spec.beta * e
-        Q, b, d = _evaluate_profile(spec, M, w, e, f)
-        en, fn = _best_responses(spec, D, M, w, Q, b)
+        Q, b, d = _evaluate_profile(spec, M, w, e, f, eye, eye2)
+        en, fn = _best_responses(spec, open_loop, mine, M, w, Q, b)
         change = max(np.max(np.abs(en - e)), np.max(np.abs(fn - f)))
         if change < _COEF_TOL:
             break

@@ -5,21 +5,25 @@ function and the current policy values.  Each joint policy has one
 successor operator (:func:`_successor_operator`): for every player, the
 affine drift g(p, u) in closed form at the player's control nodes, the
 other players held at their policy values, the Euler successor states and
-their per-axis cardinal rows.  One sweep (:func:`_run_sweep`) reads it
-and performs, for every player at all state nodes in one pass:
+their per-axis cardinal rows.  It is built for all players at once: one
+drift evaluation on J copies of the joint policy, copy i with u_i = 0,
+and per state axis one row build over every player's coordinates on it.  One
+sweep (:func:`_run_sweep`) reads it and performs, at all state nodes:
 
-1. evaluate the player's value interpolant at all successor states from
-   its node values, binding the other players' axes once per node and the
-   own axis once per control (:func:`_cardinal_matrix`), and form the
-   candidate objective: stage gain plus discounted successor value;
-2. fit the one-dimensional Chebyshev interpolant of those samples and
-   maximise it over the control interval (:func:`_maximise_block`).  A
-   row whose second-derivative series certifies f'' < 0 on the interval
-   has at most one critical point: an endpoint when f' keeps one sign
-   there, otherwise the root of f' found by Newton steps kept inside a
-   sign bracket.  Every other row compares both endpoints with all roots
-   of its derivative, found at once as the eigenvalues of the rows'
-   colleague matrices and polished by two Newton steps.
+1. for each player, evaluate its value interpolant at all successor
+   states from its node values, binding the other players' axes once per
+   node and the own axis once per control (:func:`_cardinal_matrix`), form
+   the candidate objective, stage gain plus discounted successor value,
+   and fit its one-dimensional Chebyshev interpolant in the own control;
+2. for all players at once (one block per distinct control degree),
+   maximise those interpolants over the control interval
+   (:func:`_maximise_block`).  A row whose second-derivative series
+   certifies f'' < 0 on the interval has at most one critical point: an
+   endpoint when f' keeps one sign there, otherwise the root of f' found
+   by Newton steps kept inside a sign bracket.  A row certified f'' >= 0
+   takes the better endpoint.  Every other row compares both endpoints
+   with all roots of its derivative, found at once as the eigenvalues of
+   the rows' colleague matrices and polished by two Newton steps.
 
 The driver (:func:`solve`) runs safeguarded policy iteration.  It starts
 from the equilibrium of the unconstrained linear-quadratic game
@@ -136,7 +140,7 @@ class _PlayerWork:
 
 
 class _Workspace:
-    __slots__ = ("spec", "grid", "u_scale", "p_scale", "players", "transforms")
+    __slots__ = ("spec", "grid", "u_scale", "p_scale", "players", "transforms", "groups")
 
     def __init__(self, spec: GameSpec, grid: StateGrid):
         self.spec = spec
@@ -153,6 +157,11 @@ class _Workspace:
             for i, d in enumerate(spec.Nu.tolist())
         ]
         self.transforms = [matrices[int(d)] for d in spec.Np]
+        # The players of each distinct control degree, maximised in one block.
+        groups = {}
+        for i, d in enumerate(spec.Nu.tolist()):
+            groups.setdefault(d, []).append(i)
+        self.groups = list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +275,30 @@ def _concave_argmax(dq: np.ndarray) -> np.ndarray:
     return x
 
 
+def _convex_argmax(coef: np.ndarray) -> np.ndarray:
+    """Better endpoint of each row of (m, L) interpolants that are convex on [-1, 1].
+
+    A critical point of a convex row is a minimum, so the maximum is at an
+    endpoint; a tie takes -1, as the argmax of :func:`_colleague_argmax`
+    does, whose candidates start with -1 and 1.
+    """
+    ends = clenshaw(coef.T[:, :, None], np.array([-1.0, 1.0]))          # (m, 2)
+    return np.where(ends[:, 1] > ends[:, 0], 1.0, -1.0)
+
+
 def _maximise_block(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Global maximum of each row of (m, L) interpolants over [-1, 1].
 
-    A row whose second-derivative series q2 satisfies
-    q2_0 + sum_{l>=1} |q2_l| < 0 is concave on [-1, 1], since |T_l| <= 1
-    there; it has at most one critical point, found by bracketed Newton
-    (:func:`_concave_argmax`).  Every other row, and every row when L < 3,
-    compares both endpoints with all real roots of its derivative, found by
-    one batched colleague-matrix eigensolve (:func:`_colleague_argmax`).
-    Each row's result depends on that row alone.  Returns the best point
-    of each row and the interpolant there.
+    The second-derivative series q2 of a row certifies its shape on
+    [-1, 1], since |T_l| <= 1 there.  A row with
+    q2_0 + sum_{l>=1} |q2_l| < 0 is concave: it has at most one critical
+    point, found by bracketed Newton (:func:`_concave_argmax`).  A row with
+    q2_0 - sum_{l>=1} |q2_l| >= 0 is convex: its maximum is the better
+    endpoint (:func:`_convex_argmax`).  Every other row, and every row when
+    L < 3, compares both endpoints with all real roots of its derivative,
+    found by one batched colleague-matrix eigensolve
+    (:func:`_colleague_argmax`).  Each row's result depends on that row
+    alone.  Returns the best point of each row and the interpolant there.
     """
     m, L = coef.shape
     if L < 3:
@@ -284,14 +306,18 @@ def _maximise_block(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         dq = _derivative_stack(coef)
         q2 = dq[:-1, 1]
-        concave = q2[0] + np.abs(q2[1:]).sum(axis=0) < 0.0
+        spread = np.abs(q2[1:]).sum(axis=0)
+        concave = q2[0] + spread < 0.0
         if concave.all():
             x = _concave_argmax(dq)
         else:
             x = np.empty(m)
             x[concave] = _concave_argmax(dq[:, :, concave])
-            rest = ~concave
-            x[rest] = _colleague_argmax(coef[rest], dq[:, :, rest])
+            convex = q2[0] - spread >= 0.0
+            x[convex] = _convex_argmax(coef[convex])
+            rest = ~(concave | convex)
+            if rest.any():
+                x[rest] = _colleague_argmax(coef[rest], dq[:, :, rest])
     return x, clenshaw(coef.T, x)
 
 
@@ -328,35 +354,53 @@ def _successor_operator(
     Player i's entry holds the per-axis cardinal rows (:func:`_cardinal_rows`)
     of its clamped Euler successors, the others at `policy_values` and the own
     control at each control node: (N_P, s_d) for axis d != i, (N_P, K, s_i)
-    for axis i.  The own control moves only coordinate i, so `dynamics` runs
-    once per node with u_i = 0.  The count runs over all J*N_P*K*J successor
-    components (a clamped coordinate d != i counts K times).
+    for axis i.  The own control moves only coordinate i, so one `dynamics`
+    call on the (J, N_P, J) stack of policies with u_i = 0 serves every
+    player, and each axis builds the rows of all players' coordinates on it
+    at once.  The count runs over all J*N_P*K*J successor components (a
+    clamped coordinate d != i counts K times).
     """
-    spec = ws.spec
-    ops, n_clamped = [], 0
-    for i, pw in enumerate(ws.players):
-        u = policy_values.T.copy()
-        u[:, i] = 0.0
-        drift = np.repeat(dynamics(spec, ws.grid.nodes, u)[:, None, :], pw.K, axis=1)
-        drift[:, :, i] += spec.beta[i] * pw.u_nodes                    # (N_P, K, J)
-        nxt = ws.grid.nodes[:, None, :] + spec.h * drift
-        clipped = np.clip(nxt, 0.0, spec.P_max)
-        n_clamped += int(np.count_nonzero(clipped != nxt))
-        ref = clipped * ws.p_scale - 1.0
-        coords = [ref[:, 0, d] for d in range(spec.J)]
-        coords[i] = ref[:, :, i].ravel()
-        rows = _cardinal_rows(ws, coords)
-        rows[i] = rows[i].reshape(len(ref), pw.K, -1)
-        ops.append(rows)
+    spec, nodes = ws.spec, ws.grid.nodes
+    own = np.arange(spec.J)
+    # Copy i of the joint policy has u_i = 0; player i's own control enters
+    # coordinate i per control node below.
+    u = np.repeat(policy_values.T[None], spec.J, axis=0)
+    u[own, :, own] = 0.0
+    drift = dynamics(spec, nodes, u)                                    # (J, N_P, J)
+    nxt = nodes + spec.h * drift
+    clipped = np.clip(nxt, 0.0, spec.P_max)
+    hits = np.count_nonzero(clipped != nxt, axis=1)                     # (J, J)
+    hits[own, own] = 0
+    n_clamped = int(hits.sum(axis=1) @ [pw.K for pw in ws.players])
+    # Axis d holds every player's successor coordinate d, in player order:
+    # (N_P,) for j != d, (N_P, K) for player d at its control nodes.
+    coords = [list(clipped[:, :, d]) for d in own]
+    for d, pw in enumerate(ws.players):
+        mine = nodes[:, d, None] + spec.h * (drift[d, :, d, None] + spec.beta[d] * pw.u_nodes)
+        coords[d][d] = np.clip(mine, 0.0, spec.P_max)
+        n_clamped += int(np.count_nonzero(coords[d][d] != mine))
+    rows = _cardinal_rows(ws, [np.concatenate([x.ravel() for x in axis]) * ws.p_scale - 1.0
+                               for axis in coords])
+    ops = [[None] * spec.J for _ in own]
+    for d, axis in enumerate(coords):
+        start = 0
+        for j, x in enumerate(axis):
+            ops[j][d] = rows[d][start:start + x.size].reshape(*x.shape, -1)
+            start += x.size
     return ops, n_clamped
 
 
 def _run_sweep(
     ws: _Workspace, ops: list[list[np.ndarray]], node_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best responses (controls, values), each (J, N_P), at the policy of operator `ops`."""
+    """Best responses (controls, values), each (J, N_P), at the policy of operator `ops`.
+
+    Each player's objective is contracted and fitted on its own; the fitted
+    rows of all players that share a control degree are then maximised in
+    one block, since each row's result depends on that row alone.
+    """
     spec = ws.spec
-    u_best, v_best = np.empty((2, spec.J, ws.grid.n_nodes))
+    coefs = []
     for i, (pw, rows) in enumerate(zip(ws.players, ops)):
         # Discounted objective at the player's control nodes: the other
         # axes bound once per node, then the own axis once per control.
@@ -367,9 +411,13 @@ def _run_sweep(
         objective = spec.delta * (pw.stage + np.einsum("nka,na->nk", own, partial))
         if not np.all(np.isfinite(objective)):
             raise FloatingPointError("non-finite objective sample in sweep")
-        # Fit in the own control and maximise.
-        x, v_best[i] = _maximise_block(np.matmul(pw.M0, objective[:, :, None])[:, :, 0])
-        u_best[i] = (x + 1.0) * (0.5 * spec.U_max)
+        # Fit in the own control.
+        coefs.append(np.matmul(pw.M0, objective[:, :, None])[:, :, 0])
+    u_best, v_best = np.empty((2, spec.J, ws.grid.n_nodes))
+    for group in ws.groups:
+        x, v = _maximise_block(np.concatenate([coefs[i] for i in group]))
+        u_best[group] = ((x + 1.0) * (0.5 * spec.U_max)).reshape(len(group), -1)
+        v_best[group] = v.reshape(len(group), -1)
     return u_best, v_best
 
 

@@ -7,13 +7,14 @@ import numpy.polynomial.chebyshev as cheb
 import pytest
 
 from chebnash.cheb1d import clenshaw, derivative_array, make_basis, to_reference
-from chebnash.chebnd import CoefTensor, basis_matrix, eval_full, tensor_coeffs
+from chebnash.chebnd import CoefTensor, _row_basis, basis_matrix, eval_full, tensor_coeffs
 from chebnash.game import GameSpec, build_state_grid, discounted_payoff, dynamics
 from chebnash.oracle import lq_solve
 from chebnash.presets import preset_spec
 from chebnash.solver import (
     PolicyField,
     _NEWTON_STEPS,
+    _cardinal_matrix,
     _colleague_argmax,
     _colleague_roots,
     _derivative_stack,
@@ -212,6 +213,40 @@ def test_nearly_flat_concave_row_stops_within_the_cap(monkeypatch):
     assert np.isfinite(f[0]) and f[0] >= clenshaw(coef[0], np.array([-1.0, 1.0])).max()
 
 
+def _convex_rows(rng, L, roots):
+    """Rows of L coefficients with q2_0 - sum |q2_l| >= 0 and f'(roots) = 0."""
+    rows = []
+    for r in roots:
+        q2 = rng.standard_normal(L - 2) * 10.0 ** rng.uniform(-1, 1, L - 2)
+        q2[0] = np.abs(q2[1:]).sum() + 10.0 ** rng.uniform(-6, 0)
+        rows.append(cheb.chebint(cheb.chebint(q2, lbnd=r), k=rng.standard_normal()))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("L", range(3, 10))
+def test_convex_rows_take_the_colleague_paths_endpoint(L, monkeypatch):
+    rng = np.random.default_rng(300 + L)
+    # Critical points inside and outside [-1, 1]; the even parts of the
+    # same rows are convex too and tie at the endpoints.
+    coef = _convex_rows(rng, L, rng.uniform(-1.5, 1.5, 60))
+    even = coef.copy()
+    even[:, 1::2] = 0.0
+    coef = np.concatenate([coef, even])
+    q2 = derivative_array(derivative_array(coef))
+    assert np.all(q2[:, 0] - np.abs(q2[:, 1:]).sum(axis=1) >= 0.0)
+    x_eig = _colleague_argmax(coef, _derivative_stack(coef))
+
+    def no_eigensolve(*args):
+        raise AssertionError("a certified-convex row reached the eigensolve")
+
+    monkeypatch.setattr("chebnash.solver._colleague_argmax", no_eigensolve)
+    x, f = _maximise_block(coef)
+    assert np.array_equal(x, x_eig)
+    assert np.all(np.abs(x) == 1.0)
+    assert np.all(x[60:] == -1.0)
+    assert np.array_equal(f, clenshaw(coef.T, x_eig))
+
+
 # ---------------------------------------------------------------------------
 # bellman sweep
 # ---------------------------------------------------------------------------
@@ -301,6 +336,53 @@ def test_sweep_values_match_pointwise_successor_evaluation():
         objective = spec.delta * (pw.stage + succ)
         _, best = _maximise_block(objective @ pw.M0.T)
         np.testing.assert_allclose(swept[i], best, rtol=0, atol=1e-10)
+
+
+MIXED_DEGREES = {
+    "example3-Np": preset_spec("example3", Np=(2, 3, 4), Nu=3, h=1e-2),
+    "example3-Nu": preset_spec("example3", Np=3, Nu=(2, 3, 4), h=1e-2),
+    "example1-both": preset_spec("example1", Np=(4, 6), Nu=(3, 5), h=1e-2),
+}
+
+
+def _player_by_player_sweep(ws, values, policy):
+    """Best responses and clamp count with one successor operator and one maximiser block per player."""
+    spec, grid = ws.spec, ws.grid
+    nodes = grid.nodes[:, None, :]
+    u_best, v_best = np.empty((2, spec.J, grid.n_nodes))
+    n_clamped = 0
+    for i, pw in enumerate(ws.players):
+        controls = _successor_controls(policy, i, pw.u_nodes)
+        nxt = nodes + spec.h * dynamics(spec, nodes, controls)      # (N_P, K, J)
+        clipped = np.clip(nxt, 0.0, spec.P_max)
+        n_clamped += np.count_nonzero(clipped != nxt)
+        ref = clipped * ws.p_scale - 1.0
+        rows = [_row_basis(ref[:, 0, d], M.shape[0]) @ M for d, M in enumerate(ws.transforms)]
+        M = ws.transforms[i]
+        own = (_row_basis(ref[:, :, i].ravel(), M.shape[0]) @ M).reshape(grid.n_nodes, pw.K, -1)
+        tensor = np.moveaxis(values[i].reshape(grid.shape, order="F"), i, -1)
+        partial = _cardinal_matrix(rows[:i] + rows[i + 1:]) @ tensor.reshape(
+            -1, own.shape[2], order="F")
+        objective = spec.delta * (pw.stage + np.einsum("nka,na->nk", own, partial))
+        x, v_best[i] = _maximise_block(np.matmul(pw.M0, objective[:, :, None])[:, :, 0])
+        u_best[i] = (x + 1.0) * (0.5 * spec.U_max)
+    return u_best, v_best, n_clamped
+
+
+@pytest.mark.parametrize("spec", MIXED_DEGREES.values(), ids=MIXED_DEGREES.keys())
+def test_sweep_matches_player_by_player_reference(spec):
+    grid = build_state_grid(spec)
+    ws = _Workspace(spec, grid)
+    rng = np.random.default_rng(17)
+    v = rng.standard_normal((spec.J, grid.n_nodes))
+    u = rng.uniform(0.0, spec.U_max, (spec.J, grid.n_nodes))
+    ops, clamped = _successor_operator(ws, u)
+    u_new, v_new = _run_sweep(ws, ops, v)
+    u_ref, v_ref, clamped_ref = _player_by_player_sweep(ws, v, u)
+    assert np.array_equal(u_new, u_ref)
+    assert np.array_equal(v_new, v_ref)
+    assert clamped == clamped_ref
+    assert solve_quiet(spec).converged
 
 
 # ---------------------------------------------------------------------------
