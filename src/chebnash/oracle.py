@@ -68,34 +68,32 @@ def _drift_matrix(spec: GameSpec) -> np.ndarray:
 
 def _evaluate_profile(
     spec: GameSpec, M: np.ndarray, w: np.ndarray, e: np.ndarray, f: np.ndarray,
-    eye: np.ndarray, eye2: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """Exact quadratic values (Q, b, d) of every player under u = e + f p.
+    eye: np.ndarray, eye2: np.ndarray, half_phi: np.ndarray, dh: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact quadratic and linear value terms (Q, b) of every player under u = e + f p.
 
     All players share the closed loop p' = M p + w, so the quadratic
     forms solve one discrete Stein equation Q_i = delta (h S_i + M' Q_i M),
     a J^2 x J^2 system with one right-hand side per player; the linear
-    terms take one J x J solve and the constants are explicit.  `eye` and
-    `eye2` are the identities of size J and J^2.
+    terms take one J x J solve.  `eye` and `eye2` are the identities of
+    size J and J^2, `half_phi` is phi / 2 and `dh` is delta h.
     """
     J = spec.J
     h, delta = spec.h, spec.delta
     S = -0.5 * f[:, :, None] * f[:, None, :]            # (J, J, J): S[i] quadratic stage
-    S.reshape(-1)[:: J * J + J + 1] -= 0.5 * spec.phi   # the entries S[i, i, i]
+    S.reshape(-1)[:: J * J + J + 1] -= half_phi         # the entries S[i, i, i]
     # kron(M', M') as a broadcast product: entry (aJ + c, bJ + d) is M'[a, b] M'[c, d].
     Mt = M.T
     stein = eye2 - delta * (Mt[:, None, :, None] * Mt[None, :, None, :]).reshape(J * J, J * J)
-    Q = np.linalg.solve(stein, delta * h * S.reshape(J, J * J).T).T.reshape(J, J, J)
+    Q = np.linalg.solve(stein, dh * S.reshape(J, J * J).T).T.reshape(J, J, J)
     Q = 0.5 * (Q + Q.transpose(0, 2, 1))
     linear = h * (spec.A - e)[:, None] * f + 2.0 * (Q @ w) @ M
     b = np.linalg.solve(eye - delta * M.T, delta * linear.T).T
-    const = h * (spec.A * e - 0.5 * e**2) + np.einsum("a,iab,b->i", w, Q, w) + b @ w
-    d = delta * const / (1.0 - delta)
-    return Q, b, d
+    return Q, b
 
 
 def _best_responses(
-    spec: GameSpec, open_loop: np.ndarray, mine: np.ndarray,
+    spec: GameSpec, open_loop: np.ndarray, others: np.ndarray, z: np.ndarray,
     M: np.ndarray, w: np.ndarray, Q: np.ndarray, b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every player's interior best response (e, f) to values (Q, b) on the loop p' = M p + w.
@@ -103,18 +101,17 @@ def _best_responses(
     Player i moves only coordinate i, by z_i = h beta_i per unit of
     control, so it reads only q_i = Q_i[i, :] and faces the loop without
     its own feedback: row i of M loses h beta_i f_i (it is that of
-    `open_loop` = I + h D) and entry i of w drops out.  `mine` is the
-    J x J boolean identity.
+    `open_loop` = I + h D) and entry i of w drops out.  `others` is the
+    J x J boolean complement of the identity.
     """
     h = spec.h
     own = np.arange(spec.J)
-    z = h * spec.beta
     q = Q[own, own]                                                   # (J, J)
     denom = h - 2.0 * (z * q[own, own] * z)
     if np.any(denom <= 0):
         raise FloatingPointError("interior maximisation is not concave")
-    M_i = np.where(mine[:, :, None], open_loop, M)                    # (J, J, J)
-    e_new = (h * spec.A + z * (2.0 * np.einsum("ia,ia->i", q, w * ~mine) + b[own, own])) / denom
+    M_i = np.where(others[:, :, None], M, open_loop)                  # (J, J, J)
+    e_new = (h * spec.A + z * (2.0 * np.einsum("ia,ia->i", q, w * others) + b[own, own])) / denom
     f_new = ((2.0 * (z[:, None] * q))[:, None, :] @ M_i)[:, 0] / denom[:, None]
     return e_new, f_new
 
@@ -145,24 +142,29 @@ def lq_solve(spec: GameSpec, grid: StateGrid | None = None) -> LQFeedback:
     RuntimeError
         If the feedback has not settled after 100 evaluations.
     """
-    J = spec.J
+    J, h, delta = spec.J, spec.h, spec.delta
     D = _drift_matrix(spec)
+    # Per-solve constants.
     eye, eye2 = np.eye(J), np.eye(J * J)
-    open_loop = eye + spec.h * D
-    mine = np.eye(J, dtype=bool)
+    open_loop = eye + h * D
+    others = ~np.eye(J, dtype=bool)
+    half_phi, dh, z = 0.5 * spec.phi, delta * h, h * spec.beta
     e = spec.A.copy()
     f = np.zeros((J, J))
     for it in range(1, _MAX_ITERS + 1):
-        M = eye + spec.h * (D + spec.beta[:, None] * f)
-        w = spec.h * spec.beta * e
-        Q, b, d = _evaluate_profile(spec, M, w, e, f, eye, eye2)
-        en, fn = _best_responses(spec, open_loop, mine, M, w, Q, b)
+        M = eye + h * (D + spec.beta[:, None] * f)
+        w = z * e
+        Q, b = _evaluate_profile(spec, M, w, e, f, eye, eye2, half_phi, dh)
+        en, fn = _best_responses(spec, open_loop, others, z, M, w, Q, b)
         change = max(np.max(np.abs(en - e)), np.max(np.abs(fn - f)))
         if change < _COEF_TOL:
             break
         e, f = en, fn
     else:
         raise RuntimeError(f"linear feedback not settled in {_MAX_ITERS} policy iterations")
+    # The constant terms, explicit; no iteration reads them.
+    const = h * (spec.A * e - 0.5 * e**2) + np.einsum("a,iab,b->i", w, Q, w) + b @ w
+    d = delta * const / (1.0 - delta)
 
     if grid is None:
         grid = build_state_grid(spec)

@@ -2,19 +2,19 @@
 
 The iteration keeps, for every player, the node values of the value
 function and the current policy values.  Each joint policy has one
-successor operator (:func:`_successor_operator`): for every player, the
-affine drift g(p, u) in closed form at the player's control nodes, the
-other players held at their policy values, the Euler successor states and
-their per-axis cardinal rows.  It is built for all players at once: one
-drift evaluation on J copies of the joint policy, copy i with u_i = 0,
-and per state axis one row build over every player's coordinates on it.  One
-sweep (:func:`_run_sweep`) reads it and performs, at all state nodes:
+successor operator (:func:`_successor_operator`): the per-axis cardinal
+rows of the clamped Euler successors under the affine drift g(p, u) in
+closed form.  Coordinate d moves with player d's control only, so its
+rows are shared by every other player and vary over the control nodes
+for player d alone.  One sweep (:func:`_run_sweep`) reads it and
+performs, at all state nodes:
 
 1. for each player, evaluate its value interpolant at all successor
    states from its node values, binding the other players' axes once per
-   node and the own axis once per control (:func:`_cardinal_matrix`), form
-   the candidate objective, stage gain plus discounted successor value,
-   and fit its one-dimensional Chebyshev interpolant in the own control;
+   node through their row-wise Kronecker product (:func:`_kron_rows`)
+   and the own axis once per control, form the candidate objective,
+   stage gain plus discounted successor value, and fit its
+   one-dimensional Chebyshev interpolant in the own control;
 2. for all players at once (one block per distinct control degree),
    maximise those interpolants over the control interval
    (:func:`_maximise_block`).  A row whose second-derivative series
@@ -31,11 +31,12 @@ from the equilibrium of the unconstrained linear-quadratic game
 its policy clipped to [0, U_max].  A sweep's best responses are the
 improvement step; solve builds the operator at the joint policy they
 form, evaluates that policy exactly with it (:func:`_evaluate_policy`,
-one dense linear solve per player), and the next sweep starts from those
-values and reads the same operator.  A proposal whose sweep does not
-lower the Bellman residual is rejected: the driver resumes from the sweep
-that made it, at the same policy and operator, and takes 1, 2, 4, ...
-plain value-iteration steps before the next proposal.
+one dense linear solve per player, each matrix built in one N_P x N_P
+buffer per solve), and the next sweep starts from those values and reads
+the same operator.  A proposal whose sweep does not lower the Bellman
+residual is rejected: the driver resumes from the sweep that made it, at
+the same policy and operator, and takes 1, 2, 4, ... plain
+value-iteration steps before the next proposal.
 
 Successor states are clamped to the state box before interpolation; the
 solver warns when more than 1% of the sampled successor components clamp,
@@ -55,10 +56,10 @@ from .chebnd import CoefTensor, _row_basis, tensor_coeffs
 from .game import (
     GameSpec,
     StateGrid,
+    _drift,
     _euler_step,
     _stage_gain,
     build_state_grid,
-    dynamics,
 )
 from .oracle import lq_solve
 
@@ -140,7 +141,8 @@ class _PlayerWork:
 
 
 class _Workspace:
-    __slots__ = ("spec", "grid", "u_scale", "p_scale", "players", "transforms", "groups")
+    __slots__ = ("spec", "grid", "u_scale", "p_scale", "players", "transforms", "groups",
+                 "buffer")
 
     def __init__(self, spec: GameSpec, grid: StateGrid):
         self.spec = spec
@@ -162,6 +164,8 @@ class _Workspace:
         for i, d in enumerate(spec.Nu.tolist()):
             groups.setdefault(d, []).append(i)
         self.groups = list(groups.values())
+        # The one N_P x N_P matrix of a solve (:func:`_buffer`).
+        self.buffer = None
 
 
 # ---------------------------------------------------------------------------
@@ -334,64 +338,70 @@ def _cardinal_rows(ws: _Workspace, coords: list[np.ndarray]) -> list[np.ndarray]
     return [_row_basis(x, M.shape[0]) @ M for x, M in zip(coords, ws.transforms)]
 
 
-def _cardinal_matrix(rows: list[np.ndarray]) -> np.ndarray:
-    """Row-wise Kronecker product of per-axis rows (P, s_d): (P, prod s_d).
+def _kron_rows(rows: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of per-axis rows (s_d, P), transposed: (prod s_d, P).
 
-    Axis 0 varies fastest, as in the Fortran order of the node values, so
-    `_cardinal_matrix(rows) @ values` is the interpolant at the P points.
+    Entry (a, n) is the product over d of rows[d][a_d, n], taken as
+    (((r_{J-1} r_{J-2}) ...) r_0), where a = a_0 + s_0 (a_1 + s_1 (...)):
+    axis 0 varies fastest, as in the Fortran order of the node values, so
+    `_kron_rows(rows, out).T @ values` is the interpolant at the P points.
+    The point axis is innermost, so every step is one broadcast product
+    over contiguous rows; the last one writes into the leading entries of
+    the C-contiguous array `out`, and the result is a view of them.
     """
-    card = np.ones((len(rows[0]), 1))
-    for C in reversed(rows):
-        card = (card[:, :, None] * C[:, None, :]).reshape(len(card), -1)
-    return card
+    card = np.ones((1, rows[0].shape[1]))
+    for r in rows[:0:-1]:
+        card = (card[:, None] * r).reshape(-1, card.shape[1])
+    last = out.reshape(-1)[: card.size * len(rows[0])].reshape(len(card), *rows[0].shape)
+    return np.multiply(card[:, None], rows[0], out=last).reshape(-1, card.shape[1])
+
+
+def _buffer(ws: _Workspace) -> np.ndarray:
+    """The workspace's N_P x N_P scratch matrix, allocated at its first use.
+
+    That is in the first sweep, outside the timed set-up of :func:`solve`.
+    """
+    if ws.buffer is None:
+        ws.buffer = np.empty((ws.grid.n_nodes, ws.grid.n_nodes))
+    return ws.buffer
 
 
 def _successor_operator(
     ws: _Workspace, policy_values: np.ndarray
-) -> tuple[list[list[np.ndarray]], int]:
-    """Every player's successor operator at a joint policy, and its clamp count.
+) -> tuple[tuple[list[np.ndarray], list[np.ndarray]], int]:
+    """The successor operator at a joint policy, and its clamp count.
 
-    Player i's entry holds the per-axis cardinal rows (:func:`_cardinal_rows`)
-    of its clamped Euler successors, the others at `policy_values` and the own
-    control at each control node: (N_P, s_d) for axis d != i, (N_P, K, s_i)
-    for axis i.  The own control moves only coordinate i, so one `dynamics`
-    call on the (J, N_P, J) stack of policies with u_i = 0 serves every
-    player, and each axis builds the rows of all players' coordinates on it
-    at once.  The count runs over all J*N_P*K*J successor components (a
-    clamped coordinate d != i counts K times).
+    The operator is a pair of per-axis cardinal rows (:func:`_cardinal_rows`)
+    of the clamped Euler successors.  `shared[d]`, (s_d, N_P), holds
+    coordinate d with every control at `policy_values`: the drift is
+    diagonal in u, so that coordinate is the same for every player j != d.
+    `own[d]`, (N_P, K_d, s_d), holds coordinate d with player d's own
+    control at each of its control nodes.  One drift evaluation, at the
+    policy and at zero control, and one row build per axis serve every
+    player.  The count runs over all J*N_P*K*J successor components (a
+    clamped coordinate d != i counts K_i times).
     """
-    spec, nodes = ws.spec, ws.grid.nodes
-    own = np.arange(spec.J)
-    # Copy i of the joint policy has u_i = 0; player i's own control enters
-    # coordinate i per control node below.
-    u = np.repeat(policy_values.T[None], spec.J, axis=0)
-    u[own, :, own] = 0.0
-    drift = dynamics(spec, nodes, u)                                    # (J, N_P, J)
-    nxt = nodes + spec.h * drift
+    spec, nodes, n = ws.spec, ws.grid.nodes, ws.grid.n_nodes
+    u = policy_values.T
+    drift = _drift(spec, nodes, np.stack([u, np.zeros_like(u)]))         # (2, N_P, J)
+    nxt = nodes + spec.h * drift[0]
     clipped = np.clip(nxt, 0.0, spec.P_max)
-    hits = np.count_nonzero(clipped != nxt, axis=1)                     # (J, J)
-    hits[own, own] = 0
-    n_clamped = int(hits.sum(axis=1) @ [pw.K for pw in ws.players])
-    # Axis d holds every player's successor coordinate d, in player order:
-    # (N_P,) for j != d, (N_P, K) for player d at its control nodes.
-    coords = [list(clipped[:, :, d]) for d in own]
+    K = np.array([pw.K for pw in ws.players])
+    n_clamped = int(np.count_nonzero(clipped != nxt, axis=0) @ (K.sum() - K))
+    coords = []
     for d, pw in enumerate(ws.players):
-        mine = nodes[:, d, None] + spec.h * (drift[d, :, d, None] + spec.beta[d] * pw.u_nodes)
-        coords[d][d] = np.clip(mine, 0.0, spec.P_max)
-        n_clamped += int(np.count_nonzero(coords[d][d] != mine))
-    rows = _cardinal_rows(ws, [np.concatenate([x.ravel() for x in axis]) * ws.p_scale - 1.0
-                               for axis in coords])
-    ops = [[None] * spec.J for _ in own]
-    for d, axis in enumerate(coords):
-        start = 0
-        for j, x in enumerate(axis):
-            ops[j][d] = rows[d][start:start + x.size].reshape(*x.shape, -1)
-            start += x.size
-    return ops, n_clamped
+        mine = nodes[:, d, None] + spec.h * (drift[1, :, d, None] + spec.beta[d] * pw.u_nodes)
+        x = np.clip(mine, 0.0, spec.P_max)
+        n_clamped += int(np.count_nonzero(x != mine))
+        coords.append(np.concatenate([clipped[:, d], x.ravel()]) * ws.p_scale - 1.0)
+    rows = _cardinal_rows(ws, coords)
+    shared = [np.ascontiguousarray(r[:n].T) for r in rows]
+    own = [r[n:].reshape(n, pw.K, -1) for r, pw in zip(rows, ws.players)]
+    return (shared, own), n_clamped
 
 
 def _run_sweep(
-    ws: _Workspace, ops: list[list[np.ndarray]], node_values: np.ndarray
+    ws: _Workspace, ops: tuple[list[np.ndarray], list[np.ndarray]], node_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best responses (controls, values), each (J, N_P), at the policy of operator `ops`.
 
@@ -400,14 +410,14 @@ def _run_sweep(
     one block, since each row's result depends on that row alone.
     """
     spec = ws.spec
+    shared, owns = ops
     coefs = []
-    for i, (pw, rows) in enumerate(zip(ws.players, ops)):
+    for i, (pw, own) in enumerate(zip(ws.players, owns)):
         # Discounted objective at the player's control nodes: the other
         # axes bound once per node, then the own axis once per control.
-        own = rows[i]                                                   # (N_P, K, s_i)
         tensor = np.moveaxis(node_values[i].reshape(ws.grid.shape, order="F"), i, -1)
-        partial = _cardinal_matrix(rows[:i] + rows[i + 1:]) @ tensor.reshape(
-            -1, own.shape[2], order="F")
+        card = _kron_rows(shared[:i] + shared[i + 1:], _buffer(ws))
+        partial = np.ascontiguousarray(card.T) @ tensor.reshape(-1, own.shape[2], order="F")
         objective = spec.delta * (pw.stage + np.einsum("nka,na->nk", own, partial))
         if not np.all(np.isfinite(objective)):
             raise FloatingPointError("non-finite objective sample in sweep")
@@ -426,7 +436,7 @@ def _run_sweep(
 # ---------------------------------------------------------------------------
 
 def _evaluate_policy(
-    ws: _Workspace, ops: list[list[np.ndarray]], policy_values: np.ndarray
+    ws: _Workspace, ops: tuple[list[np.ndarray], list[np.ndarray]], policy_values: np.ndarray
 ) -> np.ndarray:
     """Node values (J, N_P) of the fixed point of the sweep at a fixed policy.
 
@@ -435,24 +445,27 @@ def _evaluate_policy(
     at the own control, delta * sum_k w_k (stage_k + V_i(successor_k)),
     where w holds the control-interpolation weights of that control.  The
     successor value is linear in the node values through the operator's
-    cardinal matrix, and only its own-axis row depends on k, so E_i is that
-    matrix built with the own-axis row sum_k w_k C_i[n, k, :].  The fixed
-    point solves (I - delta E_i) V_i = delta sum_k w_k stage_k, one dense
-    N_P x N_P system per player.  Raises LinAlgError when one is singular.
+    cardinal rows, and only the own-axis row depends on k, so E_i is their
+    row-wise Kronecker product with the own-axis row sum_k w_k C_i[n, k, :].
+    The fixed point solves (I - delta E_i) V_i = delta sum_k w_k stage_k,
+    one dense N_P x N_P system per player.  :func:`_kron_rows` builds the
+    transpose of that matrix in C order, in the workspace's buffer: the
+    matrix itself in Fortran order, as LAPACK takes it.  Raises
+    LinAlgError when one is singular.
     """
     spec = ws.spec
+    shared, owns = ops
     n = ws.grid.n_nodes
     out = np.empty((spec.J, n))
-    for i, (pw, rows) in enumerate(zip(ws.players, ops)):
+    for i, (pw, own) in enumerate(zip(ws.players, owns)):
         w = _row_basis(policy_values[i] * ws.u_scale - 1.0, pw.K) @ pw.M0   # (n, K)
-        rows = list(rows)
-        rows[i] = np.einsum("nk,nka->na", w, rows[i])
-        # I - delta E, built in place.
-        A = _cardinal_matrix(rows)
-        A *= -spec.delta
-        A.flat[:: n + 1] += 1.0
+        mine = np.ascontiguousarray(np.einsum("nk,nka->na", w, own).T)
+        # (I - delta E)^T, built in place.
+        At = _kron_rows(shared[:i] + [mine] + shared[i + 1:], _buffer(ws))
+        At *= -spec.delta
+        At.flat[:: n + 1] += 1.0
         rhs = spec.delta * np.einsum("nk,nk->n", w, pw.stage)
-        out[i] = np.linalg.solve(A, rhs)
+        out[i] = np.linalg.solve(At.T, rhs)
     return out
 
 

@@ -14,7 +14,7 @@ import pytest
 import chebnash as cn
 from chebnash.cheb1d import derivative_array, to_reference
 from chebnash.chebnd import eval_full
-from chebnash.solver import _Workspace, _cardinal_matrix, _cardinal_rows
+from chebnash.solver import _Workspace, _cardinal_rows, _kron_rows
 
 RNG_SEED = 20240801
 
@@ -110,7 +110,8 @@ def test_criterion_03_batched_evaluation_oracle():
         tensor = cn.CoefTensor(bases, rng.standard_normal(tuple(b.size for b in bases)))
         pts = rng.uniform(-1.0, 1.0, (count, n))
         rows = [cn.basis_matrix(pts[:, d], b.degree) for d, b in enumerate(bases)]
-        batched = _cardinal_matrix(rows) @ tensor.coefficients.ravel(order="F")
+        out = np.empty((tensor.coefficients.size, count))
+        batched = _kron_rows([r.T for r in rows], out).T @ tensor.coefficients.ravel(order="F")
         naive = np.array([eval_full(tensor, p) for p in pts])
         np.testing.assert_allclose(batched, naive, atol=1e-11)
     # The sweep's form: cardinal rows of a state grid against node values.
@@ -123,7 +124,8 @@ def test_criterion_03_batched_evaluation_oracle():
         node_tensor = rng.standard_normal(grid.n_nodes).reshape(grid.shape, order="F")
         pts = rng.uniform(-1.0, 1.0, (count, n))
         rows = _cardinal_rows(_Workspace(spec, grid), list(pts.T))
-        batched = _cardinal_matrix(rows) @ node_tensor.ravel(order="F")
+        out = np.empty((grid.n_nodes, count))
+        batched = _kron_rows([r.T for r in rows], out).T @ node_tensor.ravel(order="F")
         tensor = cn.tensor_coeffs(node_tensor, grid.bases)
         naive = np.array([eval_full(tensor, p) for p in pts])
         np.testing.assert_allclose(batched, naive, atol=1e-11)

@@ -1,5 +1,6 @@
 """Unit tests for the collocation solver: the maximiser, sweeps, simulation."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from chebnash.presets import preset_spec
 from chebnash.solver import (
     PolicyField,
     _NEWTON_STEPS,
-    _cardinal_matrix,
     _colleague_argmax,
     _colleague_roots,
     _derivative_stack,
@@ -319,6 +319,91 @@ def test_policy_evaluation_is_the_sweeps_fixed_point_at_that_policy():
         w = basis_matrix(u[i] * ws.u_scale - 1.0, pw.K - 1) @ pw.M0
         swept = spec.delta * np.einsum("nk,nk->n", w, pw.stage + succ)
         np.testing.assert_allclose(swept, V[i], rtol=0, atol=1e-10)
+
+
+def _cardinal_matrix(rows):
+    """Row-wise Kronecker product of per-axis rows (P, s_d), in C order: (P, prod s_d)."""
+    card = np.ones((len(rows[0]), 1))
+    for C in reversed(rows):
+        card = (card[:, :, None] * C[:, None, :]).reshape(len(card), -1)
+    return card
+
+
+def _c_order_evaluation(ws, ops, policy):
+    """Exact evaluation with each I - delta E_i built as a fresh C-order matrix."""
+    spec, n = ws.spec, ws.grid.n_nodes
+    shared, owns = ops
+    out = np.empty((spec.J, n))
+    for i, (pw, own) in enumerate(zip(ws.players, owns)):
+        w = _row_basis(policy[i] * ws.u_scale - 1.0, pw.K) @ pw.M0
+        rows = [r.T for r in shared]
+        rows[i] = np.einsum("nk,nka->na", w, own)
+        A = _cardinal_matrix(rows)
+        A *= -spec.delta
+        A.flat[:: n + 1] += 1.0
+        out[i] = np.linalg.solve(A, spec.delta * np.einsum("nk,nk->n", w, pw.stage))
+    return out
+
+
+CHAIN5 = GameSpec(J=5, K=[[-1, 1, 0, 0, 0], [1, -2, 1, 0, 0], [0, 1, -2, 1, 0],
+                          [0, 0, 1, -2, 1], [0, 0, 0, 1, -1]],
+                  beta=1.0, phi=1.0, A=0.5, c=0.5, rho=0.1, h=1e-2, P_max=0.7, U_max=0.5,
+                  Np=3, Nu=3, tol=1e-6)
+EVALUATED = {
+    "example1": preset_spec("example1", Np=4, Nu=4),
+    "example3": preset_spec("example3", Np=(2, 3, 4)),
+    "example4": preset_spec("example4", h=1e-2),
+    "chain5": CHAIN5,
+}
+
+
+def _operator_at_random_policy(spec, seed):
+    grid = build_state_grid(spec)
+    ws = _Workspace(spec, grid)
+    u = np.random.default_rng(seed).uniform(0.0, spec.U_max, (spec.J, grid.n_nodes))
+    return ws, _successor_operator(ws, u)[0], u
+
+
+@pytest.mark.parametrize("spec", EVALUATED.values(), ids=EVALUATED.keys())
+def test_evaluation_is_bitwise_the_c_order_build(spec):
+    # The Fortran-order matrix holds the same bytes as the C-order build,
+    # so LAPACK sees the same system.
+    ws, ops, u = _operator_at_random_policy(spec, 7)
+    assert np.array_equal(_evaluate_policy(ws, ops, u), _c_order_evaluation(ws, ops, u))
+
+
+def test_evaluation_buffer_carries_no_state_between_calls():
+    spec = preset_spec("example3", Np=(2, 3, 4))
+    ws, ops, u = _operator_at_random_policy(spec, 8)
+    first = _evaluate_policy(ws, ops, u)
+    buffer = ws.buffer
+    again = _evaluate_policy(ws, ops, u)
+    assert ws.buffer is buffer
+    assert np.array_equal(first, again)
+    # A sweep and an evaluation at another policy, both through the same
+    # buffer, leave the next result unchanged.
+    other = np.random.default_rng(9).uniform(0.0, spec.U_max, u.shape)
+    other_ops = _successor_operator(ws, other)[0]
+    _run_sweep(ws, other_ops, first)
+    _evaluate_policy(ws, other_ops, other)
+    assert ws.buffer is buffer
+    assert np.array_equal(_evaluate_policy(ws, ops, u), first)
+
+
+def test_second_evaluation_allocates_no_node_by_node_array():
+    spec = preset_spec("example4", Np=4, Nu=3, h=1e-2)
+    ws, ops, u = _operator_at_random_policy(spec, 10)
+    n = ws.grid.n_nodes
+    tracemalloc.start()
+    try:
+        _evaluate_policy(ws, ops, u)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _evaluate_policy(ws, ops, u)
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 8 * n * n
 
 
 def test_sweep_values_match_pointwise_successor_evaluation():
