@@ -13,7 +13,7 @@ import numpy as np
 
 import chebnash as cn
 
-spec = cn.preset_spec("example1", rho=0.5, h=5e-3, tol=1e-7, Np=6, Nu=6)
+spec = cn.preset_spec("example1", rho=0.5, h=5e-3, tol=1e-7, Np=6)
 print("two players, shared boundary, isolated from outside")
 print(f"discount rate {spec.rho}, step {spec.h}, per-step factor {spec.delta}")
 

@@ -29,7 +29,7 @@ print(f"  (fixed point reached in {fb.iterations} policy-iteration steps)")
 print("\npolicy error of the collocation solver by state degree:")
 print(f"{'degree':>7} {'nodes':>6} {'error':>12} {'sweeps':>7} {'seconds':>8}")
 for degree in (2, 3, 4, 6, 8):
-    spec = cn.preset_spec("example1", Np=degree, Nu=degree, **base)
+    spec = cn.preset_spec("example1", Np=degree, **base)
     grid = cn.build_state_grid(spec)
     oracle = cn.lq_solve(spec, grid)
     t0 = time.perf_counter()

@@ -2,12 +2,12 @@
 
 Each command takes only the flags it reads:
 
-* ``solve``: ``--config --preset --out --np --nu --h --tol --rho --pm --um
-  --p0 --sim-horizon``;
+* ``solve``: ``--config --preset --out --np --h --tol --rho --pm --um --p0
+  --sim-horizon``;
 * ``simulate``: ``--out --p0 --sim-horizon``; the game and the solved
   policy come from ``<out>/run.json`` and ``<out>/policy.csv`` of a solve
   run;
-* ``compare``: ``--config --preset --out --nu --h --tol --rho --pm --um
+* ``compare``: ``--config --preset --out --h --tol --rho --pm --um
   --np-list``; the policy error against the exact LQ oracle, for any
   number of players, at every listed state degree where the oracle's
   feedback stays inside [0, U_max] on the grid.
@@ -15,11 +15,12 @@ Each command takes only the flags it reads:
 solve and compare resolve their run in three layers: preset defaults,
 then an optional JSON config file, then flags.  simulate starts from
 ``<out>/run.json`` and applies its flags.  Every run is validated before
-any work.  solve writes ``run.json`` and compare ``compare.json``, each
-echoing the resolved run (schema_version 1); compare's carries the
-degrees it ran as ``np_list``.  Re-running either command with that file
-as ``--config`` reproduces its numeric outputs bitwise (compare's
-``wall_time`` column aside).
+any work; the control degree is max(2, Np), and a ``Nu`` in an older
+file must equal it at every degree.  solve writes ``run.json`` and
+compare ``compare.json``, each echoing the resolved run (schema_version
+1); compare's carries the degrees it ran as ``np_list``.  Re-running
+either command with that file as ``--config`` reproduces its numeric
+outputs bitwise (compare's ``wall_time`` column aside).
 
 Exit codes: 0 success/converged, 2 usage or configuration error or an LQ
 start that does not settle, 3 solver did not converge within max_iters
@@ -45,8 +46,7 @@ SCHEMA_VERSION = 1
 _FLOAT_FMT = "%.16e"
 
 # Game flags (solve and compare) and the GameSpec fields they set.
-_GAME_FLAGS = {"np": "Np", "nu": "Nu", "h": "h", "tol": "tol", "rho": "rho",
-               "pm": "P_max", "um": "U_max"}
+_GAME_FLAGS = {"np": "Np", "h": "h", "tol": "tol", "rho": "rho", "pm": "P_max", "um": "U_max"}
 # Run keys besides the game.  A command reads, and its run.json echoes,
 # exactly the keys it has a flag for.
 _RUN_KEYS = ("p0", "sim_horizon", "np_list")
@@ -125,8 +125,9 @@ def _is_number(x) -> bool:
 
 def _spec_from_config(cfg: dict, keys: list[str]) -> GameSpec:
     """Validate cfg's game and run `keys`; normalise the game into the echo."""
+    game = cfg["game"]
     try:
-        spec = GameSpec(**cfg["game"])
+        spec = GameSpec(**game)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid game parameters: {exc}") from exc
     cfg["game"] = spec_to_dict(spec)
@@ -149,6 +150,12 @@ def _spec_from_config(cfg: dict, keys: list[str]) -> GameSpec:
         if not (isinstance(degrees, list) and degrees
                 and all(isinstance(d, int) and not isinstance(d, bool) for d in degrees)):
             raise ConfigError(f"np_list must be a non-empty list of integers, got {degrees!r}")
+        # An older file's Nu must fit every degree compare solves.
+        for deg in degrees if "Nu" in game else ():
+            try:
+                GameSpec(**{**game, "Np": deg})
+            except ValueError as exc:
+                raise ConfigError(f"Np={deg}: invalid game parameters: {exc}") from exc
     return spec
 
 
@@ -318,7 +325,6 @@ def _add_game_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file, e.g. an earlier run.json or compare.json")
     p.add_argument("--preset", choices=list(PRESET_NAMES), help="named experiment preset")
     p.add_argument("--out", default="runs/latest", help="output directory")
-    p.add_argument("--nu", type=_parse_ints, help="control degrees (int or comma list)")
     p.add_argument("--h", type=float, help="time step")
     p.add_argument("--tol", type=float, help="convergence tolerance")
     p.add_argument("--rho", type=float, help="discount rate")

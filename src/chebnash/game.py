@@ -14,7 +14,7 @@ discount factor is delta = 1 - rho * h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class GameSpec:
     J players.  Validation enforces the usual sanity conditions, notably
     h < 1/rho (so the discrete discount factor lies in (0, 1)) and
     U_max >= max_i A_i (the myopic optimum is inside the control box).
+    The control degrees `Nu` are max(2, Np_i), the lowest at which the
+    sweep's objective, u(A - u/2) plus the degree-Np value at the successor,
+    is fitted exactly in the own control; a keyword `Nu` must equal them.
     """
 
     J: int
@@ -58,12 +61,12 @@ class GameSpec:
     P_max: float
     U_max: float
     Np: np.ndarray
-    Nu: np.ndarray
     tol: float
     max_iters: int = 200_000
     m: np.ndarray = 1.0  # type: ignore[assignment]
+    Nu: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, Nu):
         J = _integral(self.J, "J")
         if J.ndim or J < 2:
             raise ValueError("need at least two players")
@@ -93,11 +96,12 @@ class GameSpec:
             raise ValueError("need h < 1/rho so that delta = 1 - rho*h is in (0, 1)")
         if self.U_max < float(np.max(self.A)):
             raise ValueError("U_max must be at least max_i A_i")
-        for name in ("Np", "Nu"):
-            deg = np.broadcast_to(_integral(getattr(self, name), name), (J,))
-            if np.any(deg < 1):
-                raise ValueError(f"{name} degrees must be >= 1")
-            object.__setattr__(self, name, _freeze(deg.copy()))
+        Np = np.broadcast_to(_integral(self.Np, "Np"), (J,))
+        if np.any(Np < 1):
+            raise ValueError("Np degrees must be >= 1")
+        object.__setattr__(self, "Np", _freeze(Np.copy()))
+        if Nu is not None and np.any(np.broadcast_to(_integral(Nu, "Nu"), (J,)) != self.Nu):
+            raise ValueError(f"Nu must be max(2, Np) = {self.Nu.tolist()}, got {Nu!r}")
         max_iters = _integral(self.max_iters, "max_iters")
         if max_iters.ndim or max_iters < 1:
             raise ValueError("max_iters must be positive")
@@ -107,6 +111,10 @@ class GameSpec:
     def delta(self) -> float:
         """Discrete discount factor 1 - rho*h."""
         return 1.0 - self.rho * self.h
+
+
+# Set after the class body, where `Nu` is the init-only keyword.
+GameSpec.Nu = property(lambda self: _freeze(np.maximum(self.Np, 2)))  # type: ignore
 
 
 @dataclass(frozen=True)

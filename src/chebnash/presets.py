@@ -36,9 +36,9 @@ _COMMON = dict(beta=1.0, phi=1.0, A=0.5, c=0.5, rho=0.1, h=1e-3,
                P_max=0.7, U_max=0.5, tol=1e-6)
 
 _PRESET_TABLE = {
-    "example1": dict(J=2, K=_K1, Np=8, Nu=8),
-    "example3": dict(J=3, K=_K3, Np=3, Nu=3),
-    "example4": dict(J=4, K=_K4, Np=3, Nu=3),
+    "example1": dict(J=2, K=_K1, Np=8),
+    "example3": dict(J=3, K=_K3, Np=3),
+    "example4": dict(J=4, K=_K4, Np=3),
 }
 
 
@@ -70,7 +70,6 @@ def spec_to_dict(spec: GameSpec) -> dict:
         "P_max": spec.P_max,
         "U_max": spec.U_max,
         "Np": spec.Np.tolist(),
-        "Nu": spec.Nu.tolist(),
         "tol": spec.tol,
         "max_iters": spec.max_iters,
     }

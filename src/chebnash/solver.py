@@ -1,13 +1,14 @@
 """Collocation solver for the feedback equilibrium of the pollution game.
 
 The iteration keeps, for every player, the node values of the value
-function and the current policy values.  Each joint policy has one
+function and the current policy values; each player's control runs over
+Chebyshev nodes of degree max(2, Np_i).  Each joint policy has one
 successor operator (:func:`_successor_operator`): the per-axis cardinal
 rows of the clamped Euler successors under the affine drift g(p, u) in
 closed form.  Coordinate d moves with player d's control only, so its
-rows are shared by every other player and vary over the control nodes
-for player d alone.  One sweep (:func:`_run_sweep`) reads it and
-performs, at all state nodes:
+rows are shared by every other player, and its rows at player d's
+control nodes are fixed for a solve (:func:`_own_rows`).  One sweep
+(:func:`_run_sweep`) reads it and performs, at all state nodes:
 
 1. for each player, evaluate its value interpolant at all successor
    states from its node values, binding the other players' axes once per
@@ -39,8 +40,8 @@ the same policy and operator, and takes 1, 2, 4, ... plain
 value-iteration steps before the next proposal.
 
 Successor states are clamped to the state box before interpolation; the
-solver warns when more than 1% of the sampled successor components clamp,
-which signals that P_max is too small for the chosen control bound.
+solver warns when more than 1% of a sweep's policy successor components
+clamp, which signals that P_max is too small for the chosen control bound.
 """
 
 from __future__ import annotations
@@ -105,11 +106,11 @@ class EquilibriumResult:
     `evaluations` counts exact policy evaluations and `rejected` the
     proposals that fell back to value iteration (a proposal whose sweep
     did not lower the residual, or a singular or non-finite evaluation).
-    `clamp_fraction` is the worst per-sweep share of sampled
-    successor-state components that hit the state box.  `timings` holds
-    wall seconds: "setup" (grid, workspace and validation of `init`),
-    "start" (the LQ oracle when `init` is omitted), "sweeps" (the
-    iteration) and "total" (all three).
+    `clamp_fraction` is the worst per-sweep share of the N_P * J successor
+    components of the sweep's joint policy that hit the state box.
+    `timings` holds wall seconds: "setup" (grid, workspace and validation
+    of `init`), "start" (the LQ oracle when `init` is omitted), "sweeps"
+    (the iteration) and "total" (all three).
     """
 
     converged: bool
@@ -142,7 +143,7 @@ class _PlayerWork:
 
 class _Workspace:
     __slots__ = ("spec", "grid", "u_scale", "p_scale", "players", "transforms", "groups",
-                 "buffer")
+                 "buffer", "own")
 
     def __init__(self, spec: GameSpec, grid: StateGrid):
         self.spec = spec
@@ -152,20 +153,15 @@ class _Workspace:
         # One samples -> coefficients matrix per distinct degree, shared by
         # the control fits and the state axes, and one set of control nodes
         # per distinct control degree.
-        matrices = {d: _transform_matrix(d) for d in {*spec.Np.tolist(), *spec.Nu.tolist()}}
-        nodes = {d: make_basis(d, 0.0, spec.U_max).nodes for d in set(spec.Nu.tolist())}
-        self.players = [
-            _PlayerWork(spec, grid, i, nodes[d], matrices[d])
-            for i, d in enumerate(spec.Nu.tolist())
-        ]
+        Nu = spec.Nu.tolist()
+        matrices = {d: _transform_matrix(d) for d in {*spec.Np.tolist(), *Nu}}
+        nodes = {d: make_basis(d, 0.0, spec.U_max).nodes for d in set(Nu)}
+        self.players = [_PlayerWork(spec, grid, i, nodes[d], matrices[d]) for i, d in enumerate(Nu)]
         self.transforms = [matrices[int(d)] for d in spec.Np]
         # The players of each distinct control degree, maximised in one block.
-        groups = {}
-        for i, d in enumerate(spec.Nu.tolist()):
-            groups.setdefault(d, []).append(i)
-        self.groups = list(groups.values())
-        # The one N_P x N_P matrix of a solve (:func:`_buffer`).
-        self.buffer = None
+        self.groups = [[i for i, e in enumerate(Nu) if e == d] for d in dict.fromkeys(Nu)]
+        # Built at first use, by :func:`_buffer` and :func:`_own_rows`.
+        self.buffer = self.own = None
 
 
 # ---------------------------------------------------------------------------
@@ -208,26 +204,22 @@ def _derivative_stack(coef: np.ndarray) -> np.ndarray:
     return dq
 
 
-def _colleague_argmax(coef: np.ndarray, dq: np.ndarray | None) -> np.ndarray:
-    """Best point in [-1, 1] of each row of (m, L) interpolants, whatever their shape.
+def _colleague_argmax(coef: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """Best point in [-1, 1] of each row of (m, L) interpolants, L >= 3, whatever their shape.
 
-    `dq` holds the rows' derivative series (:func:`_derivative_stack`;
-    None when L < 3).  The candidates are the real parts of all roots of
-    the derivative, clipped to [-1, 1] and polished by two Newton steps on
-    the derivative, and both endpoints; the interpolant picks the best.
+    `dq` holds the rows' derivative series (:func:`_derivative_stack`).
+    The candidates are the real parts of all roots of the derivative,
+    clipped to [-1, 1] and polished by two Newton steps on the derivative,
+    and both endpoints; the interpolant picks the best.
     """
-    m = coef.shape[0]
-    cands = [np.broadcast_to([-1.0, 1.0], (m, 2))]
-    if dq is not None:
-        x = np.clip(_colleague_roots(dq[:, 0].T), -1.0, 1.0)
-        for _ in range(2):
-            f1, f2 = clenshaw(dq[:, :, :, None], x)
-            # A step longer than the interval could only reach an endpoint.
-            short = np.abs(f1) < 2.0 * np.abs(f2)
-            step = np.divide(f1, f2, out=np.zeros_like(f1), where=short)
-            x = np.clip(x - step, -1.0, 1.0)
-        cands.append(x)
-    x = np.concatenate(cands, axis=1)
+    x = np.clip(_colleague_roots(dq[:, 0].T), -1.0, 1.0)
+    for _ in range(2):
+        f1, f2 = clenshaw(dq[:, :, :, None], x)
+        # A step longer than the interval could only reach an endpoint.
+        short = np.abs(f1) < 2.0 * np.abs(f2)
+        step = np.divide(f1, f2, out=np.zeros_like(f1), where=short)
+        x = np.clip(x - step, -1.0, 1.0)
+    x = np.concatenate([np.broadcast_to([-1.0, 1.0], (len(coef), 2)), x], axis=1)
     best = np.argmax(clenshaw(coef.T[:, :, None], x), axis=1)[:, None]
     return np.take_along_axis(x, best, 1)[:, 0]
 
@@ -291,37 +283,33 @@ def _convex_argmax(coef: np.ndarray) -> np.ndarray:
 
 
 def _maximise_block(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Global maximum of each row of (m, L) interpolants over [-1, 1].
+    """Global maximum of each row of (m, L) interpolants over [-1, 1], L >= 3.
 
-    The second-derivative series q2 of a row certifies its shape on
-    [-1, 1], since |T_l| <= 1 there.  A row with
-    q2_0 + sum_{l>=1} |q2_l| < 0 is concave: it has at most one critical
-    point, found by bracketed Newton (:func:`_concave_argmax`).  A row with
-    q2_0 - sum_{l>=1} |q2_l| >= 0 is convex: its maximum is the better
-    endpoint (:func:`_convex_argmax`).  Every other row, and every row when
-    L < 3, compares both endpoints with all real roots of its derivative,
-    found by one batched colleague-matrix eigensolve
+    The control degree is at least 2, so the second-derivative series q2
+    of each row certifies its shape on [-1, 1], since |T_l| <= 1 there.  A
+    row with q2_0 + sum_{l>=1} |q2_l| < 0 is concave: it has at most one
+    critical point, found by bracketed Newton (:func:`_concave_argmax`).  A
+    row with q2_0 - sum_{l>=1} |q2_l| >= 0, a linear one included, is
+    convex: its maximum is the better endpoint (:func:`_convex_argmax`).
+    Every other row compares both endpoints with all real roots of its
+    derivative, found by one batched colleague-matrix eigensolve
     (:func:`_colleague_argmax`).  Each row's result depends on that row
     alone.  Returns the best point of each row and the interpolant there.
     """
-    m, L = coef.shape
-    if L < 3:
-        x = _colleague_argmax(coef, None)
+    dq = _derivative_stack(coef)
+    q2 = dq[:-1, 1]
+    spread = np.abs(q2[1:]).sum(axis=0)
+    concave = q2[0] + spread < 0.0
+    if concave.all():
+        x = _concave_argmax(dq)
     else:
-        dq = _derivative_stack(coef)
-        q2 = dq[:-1, 1]
-        spread = np.abs(q2[1:]).sum(axis=0)
-        concave = q2[0] + spread < 0.0
-        if concave.all():
-            x = _concave_argmax(dq)
-        else:
-            x = np.empty(m)
-            x[concave] = _concave_argmax(dq[:, :, concave])
-            convex = q2[0] - spread >= 0.0
-            x[convex] = _convex_argmax(coef[convex])
-            rest = ~(concave | convex)
-            if rest.any():
-                x[rest] = _colleague_argmax(coef[rest], dq[:, :, rest])
+        x = np.empty(len(coef))
+        x[concave] = _concave_argmax(dq[:, :, concave])
+        convex = q2[0] - spread >= 0.0
+        x[convex] = _convex_argmax(coef[convex])
+        rest = ~(concave | convex)
+        if rest.any():
+            x[rest] = _colleague_argmax(coef[rest], dq[:, :, rest])
     return x, clenshaw(coef.T, x)
 
 
@@ -366,53 +354,53 @@ def _buffer(ws: _Workspace) -> np.ndarray:
     return ws.buffer
 
 
-def _successor_operator(
-    ws: _Workspace, policy_values: np.ndarray
-) -> tuple[tuple[list[np.ndarray], list[np.ndarray]], int]:
+def _own_rows(ws: _Workspace) -> list[np.ndarray]:
+    """Rows (N_P, K_d, s_d) of coordinate d at player d's control nodes, for every d.
+
+    Coordinate d moves with player d's control only, so over its fixed
+    control nodes these rows are the same for every policy.  They are
+    built at their first use, outside the timed set-up of :func:`solve`.
+    """
+    if ws.own is None:
+        spec, nodes = ws.spec, ws.grid.nodes
+        still = _drift(spec, nodes, np.zeros_like(nodes))
+        coords = []
+        for d, pw in enumerate(ws.players):
+            mine = nodes[:, d, None] + spec.h * (still[:, d, None] + spec.beta[d] * pw.u_nodes)
+            coords.append(np.clip(mine, 0.0, spec.P_max).ravel() * ws.p_scale - 1.0)
+        rows = _cardinal_rows(ws, coords)
+        ws.own = [r.reshape(len(nodes), pw.K, -1) for r, pw in zip(rows, ws.players)]
+    return ws.own
+
+
+def _successor_operator(ws: _Workspace, policy_values: np.ndarray) -> tuple[list[np.ndarray], int]:
     """The successor operator at a joint policy, and its clamp count.
 
-    The operator is a pair of per-axis cardinal rows (:func:`_cardinal_rows`)
-    of the clamped Euler successors.  `shared[d]`, (s_d, N_P), holds
-    coordinate d with every control at `policy_values`: the drift is
-    diagonal in u, so that coordinate is the same for every player j != d.
-    `own[d]`, (N_P, K_d, s_d), holds coordinate d with player d's own
-    control at each of its control nodes.  One drift evaluation, at the
-    policy and at zero control, and one row build per axis serve every
-    player.  The count runs over all J*N_P*K*J successor components (a
-    clamped coordinate d != i counts K_i times).
+    The operator holds the per-axis cardinal rows (:func:`_cardinal_rows`)
+    of the clamped Euler successors at `policy_values`, entry d (s_d, N_P).
+    The drift is diagonal in u, so coordinate d is the same for every
+    player j != d; player d reads its own axis from :func:`_own_rows`.
+    The count runs over the N_P*J successor components.
     """
-    spec, nodes, n = ws.spec, ws.grid.nodes, ws.grid.n_nodes
-    u = policy_values.T
-    drift = _drift(spec, nodes, np.stack([u, np.zeros_like(u)]))         # (2, N_P, J)
-    nxt = nodes + spec.h * drift[0]
+    spec, nodes = ws.spec, ws.grid.nodes
+    nxt = nodes + spec.h * _drift(spec, nodes, policy_values.T)
     clipped = np.clip(nxt, 0.0, spec.P_max)
-    K = np.array([pw.K for pw in ws.players])
-    n_clamped = int(np.count_nonzero(clipped != nxt, axis=0) @ (K.sum() - K))
-    coords = []
-    for d, pw in enumerate(ws.players):
-        mine = nodes[:, d, None] + spec.h * (drift[1, :, d, None] + spec.beta[d] * pw.u_nodes)
-        x = np.clip(mine, 0.0, spec.P_max)
-        n_clamped += int(np.count_nonzero(x != mine))
-        coords.append(np.concatenate([clipped[:, d], x.ravel()]) * ws.p_scale - 1.0)
-    rows = _cardinal_rows(ws, coords)
-    shared = [np.ascontiguousarray(r[:n].T) for r in rows]
-    own = [r[n:].reshape(n, pw.K, -1) for r, pw in zip(rows, ws.players)]
-    return (shared, own), n_clamped
+    rows = _cardinal_rows(ws, list(clipped.T * ws.p_scale - 1.0))
+    return [np.ascontiguousarray(r.T) for r in rows], int(np.count_nonzero(clipped != nxt))
 
 
 def _run_sweep(
-    ws: _Workspace, ops: tuple[list[np.ndarray], list[np.ndarray]], node_values: np.ndarray
+    ws: _Workspace, shared: list[np.ndarray], node_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best responses (controls, values), each (J, N_P), at the policy of operator `ops`.
+    """Best responses (controls, values), each (J, N_P), at the policy of operator `shared`.
 
     Each player's objective is contracted and fitted on its own; the fitted
     rows of all players that share a control degree are then maximised in
     one block, since each row's result depends on that row alone.
     """
     spec = ws.spec
-    shared, owns = ops
     coefs = []
-    for i, (pw, own) in enumerate(zip(ws.players, owns)):
+    for i, (pw, own) in enumerate(zip(ws.players, _own_rows(ws))):
         # Discounted objective at the player's control nodes: the other
         # axes bound once per node, then the own axis once per control.
         tensor = np.moveaxis(node_values[i].reshape(ws.grid.shape, order="F"), i, -1)
@@ -436,17 +424,18 @@ def _run_sweep(
 # ---------------------------------------------------------------------------
 
 def _evaluate_policy(
-    ws: _Workspace, ops: tuple[list[np.ndarray], list[np.ndarray]], policy_values: np.ndarray
+    ws: _Workspace, shared: list[np.ndarray], policy_values: np.ndarray
 ) -> np.ndarray:
     """Node values (J, N_P) of the fixed point of the sweep at a fixed policy.
 
     With every player's control held at `policy_values`, whose successor
-    operator is `ops`, the sweep's value at node n is the fitted objective
+    operator is `shared`, the sweep's value at node n is the fitted objective
     at the own control, delta * sum_k w_k (stage_k + V_i(successor_k)),
     where w holds the control-interpolation weights of that control.  The
-    successor value is linear in the node values through the operator's
-    cardinal rows, and only the own-axis row depends on k, so E_i is their
-    row-wise Kronecker product with the own-axis row sum_k w_k C_i[n, k, :].
+    successor value is linear in the node values through the cardinal
+    rows, and only the own-axis rows C_i (:func:`_own_rows`) depend on k,
+    so E_i is the row-wise Kronecker product of the operator's rows with
+    the own-axis row sum_k w_k C_i[n, k, :].
     The fixed point solves (I - delta E_i) V_i = delta sum_k w_k stage_k,
     one dense N_P x N_P system per player.  :func:`_kron_rows` builds the
     transpose of that matrix in C order, in the workspace's buffer: the
@@ -454,10 +443,9 @@ def _evaluate_policy(
     LinAlgError when one is singular.
     """
     spec = ws.spec
-    shared, owns = ops
     n = ws.grid.n_nodes
     out = np.empty((spec.J, n))
-    for i, (pw, own) in enumerate(zip(ws.players, owns)):
+    for i, (pw, own) in enumerate(zip(ws.players, _own_rows(ws))):
         w = _row_basis(policy_values[i] * ws.u_scale - 1.0, pw.K) @ pw.M0   # (n, K)
         mine = np.ascontiguousarray(np.einsum("nk,nka->na", w, own).T)
         # (I - delta E)^T, built in place.
@@ -528,9 +516,7 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     t_begin = time.perf_counter()
     grid = build_state_grid(spec)
     ws = _Workspace(spec, grid)
-    n = grid.n_nodes
     fields = None if init is None else _initial_fields(spec, grid, init)
-    targets_per_sweep = n * sum(pw.K for pw in ws.players) * spec.J
     t_setup = time.perf_counter()
     if fields is None:      # the LQ oracle's node values and clipped policy
         fb = lq_solve(spec, grid)
@@ -550,7 +536,7 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     ops, clamped = _successor_operator(ws, u_values)
     for iterations in range(1, spec.max_iters + 1):
         u_new, v_new = _run_sweep(ws, ops, v_values)
-        clamp_fraction = max(clamp_fraction, clamped / targets_per_sweep)
+        clamp_fraction = max(clamp_fraction, clamped / u_values.size)
         diffs = np.max(np.abs(v_new - v_values), axis=1)
         history.append(diffs)
         residual = float(diffs.max())
@@ -587,7 +573,7 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
         v_values, u_values = fallback[0], fallback[1]
     if clamp_fraction > _CLAMP_WARN_FRACTION:
         warnings.warn(
-            f"{clamp_fraction:.1%} of successor-state samples clamped to the state box; "
+            f"{clamp_fraction:.1%} of successor-state components clamped to the state box; "
             "P_max is probably too small",
             RuntimeWarning,
             stacklevel=2,

@@ -163,7 +163,7 @@ def test_criterion_04_derivative_check():
 def test_criterion_05_decoupled_closed_form():
     t0 = time.perf_counter()
     spec = cn.preset_spec("example1", phi=0.0, beta=0.0, rho=1.0, h=1e-2,
-                          P_max=1.0, U_max=1.0, Np=3, Nu=3, tol=1e-11,
+                          P_max=1.0, U_max=1.0, Np=3, tol=1e-11,
                           max_iters=20_000)
     result = _solve_quiet(spec)
     assert result.converged
@@ -189,7 +189,7 @@ def test_criterion_06_oracle_agreement_envelope():
     t0 = time.perf_counter()
     errors = {}
     for degree in (2, 4, 8):
-        spec = cn.preset_spec("example1", Np=degree, Nu=degree)
+        spec = cn.preset_spec("example1", Np=degree)
         grid = cn.build_state_grid(spec)
         feedback = cn.lq_solve(spec, grid)
         assert feedback.negative_fraction == 0.0

@@ -10,7 +10,7 @@ import pytest
 
 from chebnash.cli import _build_parser, main
 
-FAST = ["--h", "0.01", "--tol", "1e-4", "--rho", "0.5", "--np", "2", "--nu", "2"]
+FAST = ["--h", "0.01", "--tol", "1e-4", "--rho", "0.5", "--np", "2"]
 
 
 def run_cli(args):
@@ -75,7 +75,7 @@ def test_example4_preset_coupling_matrix(tmp_path):
 def test_solve_nonconvergence_exit_code(tmp_path):
     out = tmp_path / "run"
     cfg = {"preset": "example1",
-           "game": {"h": 0.01, "tol": 1e-12, "rho": 0.5, "Np": 2, "Nu": 2,
+           "game": {"h": 0.01, "tol": 1e-12, "rho": 0.5, "Np": 2,
                     "max_iters": 5}}
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(cfg))
@@ -85,7 +85,7 @@ def test_solve_nonconvergence_exit_code(tmp_path):
 def test_compare_nonconvergence_exit_code_after_writing_errors(tmp_path):
     out = tmp_path / "run"
     cfg = {"preset": "example1", "np_list": [2, 3],
-           "game": {"h": 0.01, "tol": 1e-12, "rho": 0.5, "Nu": 2, "max_iters": 5}}
+           "game": {"h": 0.01, "tol": 1e-12, "rho": 0.5, "max_iters": 5}}
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(cfg))
     assert run_cli(["compare", "--config", str(cfg_file), "--out", str(out)]) == 3
@@ -108,17 +108,19 @@ def test_rerun_from_run_json_reproduces_outputs_bitwise(tmp_path):
     assert (out1 / "convergence.csv").read_bytes() == (out2 / "convergence.csv").read_bytes()
 
 
-@pytest.mark.parametrize("key,value", [("threads", 2), ("blocks", 3)])
+@pytest.mark.parametrize("key,value", [("threads", 2), ("blocks", 3), ("Nu", [2, 2])])
 def test_run_json_with_threads_key_reproduces_outputs_bitwise(tmp_path, key, value):
     # run.json files written by earlier versions carry "threads" and
-    # "blocks" entries; they are ignored like any other unknown key.
+    # "blocks" entries, ignored like any other unknown key, and their game
+    # carries the control degree "Nu", accepted where it is max(2, Np).
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     run_cli(["solve", "--preset", "example1", *FAST, "--out", str(out1)])
     cfg = json.loads((out1 / "run.json").read_text())
-    assert key not in cfg
+    section = cfg["game"] if key == "Nu" else cfg
+    assert key not in section
     assert len(read_csv(out1 / "policy.csv")) == 9
-    cfg[key] = value
+    section[key] = value
     old_run = tmp_path / "old_run.json"
     old_run.write_text(json.dumps(cfg, indent=2) + "\n")
     run_cli(["solve", "--config", str(old_run), "--out", str(out2)])
@@ -134,8 +136,10 @@ def test_run_json_with_threads_key_reproduces_outputs_bitwise(tmp_path, key, val
     ["simulate", "--h", "0.5"],
     ["compare", "--preset", "example1", "--np", "2"],
     ["compare", "--preset", "example1", "--p0", "0,0"],
+    ["solve", "--preset", "example1", *FAST, "--nu", "2"],
+    ["compare", "--preset", "example1", "--nu", "2"],
 ], ids=["threads", "blocks", "bench-blocks", "simulate-preset", "simulate-h",
-        "compare-np", "compare-p0"])
+        "compare-np", "compare-p0", "nu", "compare-nu"])
 def test_threads_flag_is_usage_error(tmp_path, argv):
     # Removed options and commands, and flags a command does not read, fail
     # in argument parsing; no flag is taken as an abbreviation (--h of --help).
@@ -159,7 +163,7 @@ def test_flags_override_config_file(tmp_path):
     cfg_file.write_text(json.dumps({"preset": "example1", "game": {"h": 0.01}}))
     out = tmp_path / "run"
     run_cli(["solve", "--config", str(cfg_file), "--h", "0.02", "--tol", "1e-3",
-             "--rho", "0.5", "--np", "2", "--nu", "2", "--out", str(out)])
+             "--rho", "0.5", "--np", "2", "--out", str(out)])
     cfg = json.loads((out / "run.json").read_text())
     assert cfg["game"]["h"] == 0.02
 
@@ -263,7 +267,7 @@ def test_simulate_malformed_inputs_are_usage_errors(tmp_path, capsys, name, edit
 
 
 # The LQ start's policy iteration does not settle on this game.
-UNSETTLED = {"preset": "example1", "game": {"m": 1e-6, "h": 0.01, "Np": 3, "Nu": 3}}
+UNSETTLED = {"preset": "example1", "game": {"m": 1e-6, "h": 0.01, "Np": 3}}
 
 
 def _config_file(tmp_path, cfg, command="solve"):
@@ -300,8 +304,6 @@ def _file_at_run(tmp_path, *argv):
     (lambda tmp: _simulate_edited_run(tmp, p0=["a", "b"]), "p0"),
     (lambda tmp: ["solve", "--preset", "example1", "--np", ",", "--out", str(tmp / "run")],
      "empty integer list"),
-    (lambda tmp: ["solve", "--preset", "example1", "--nu", ",", "--out", str(tmp / "run")],
-     "empty integer list"),
     (lambda tmp: ["solve", "--preset", "example1", "--np", "x", "--out", str(tmp / "run")],
      "cannot parse integer list"),
     (lambda tmp: ["compare", "--preset", "example1", "--np-list", ",",
@@ -320,6 +322,12 @@ def _file_at_run(tmp_path, *argv):
      "not settled"),
     (lambda tmp: _config_file(tmp, {"preset": "example1", "np_list": 2}, "compare"),
      "np_list"),
+    (lambda tmp: _config_file(tmp, {"preset": "example1", "game": {"Np": 2, "Nu": 3}}),
+     "Nu must be max(2, Np) = [2, 2]"),
+    # compare.json of an earlier version: the preset's Nu = 8 at every degree.
+    (lambda tmp: _config_file(tmp, {"preset": "example1", "np_list": [2, 4, 8],
+                                    "game": {"Np": [8, 8], "Nu": [8, 8]}}, "compare"),
+     "Np=2: invalid game parameters: Nu must be max(2, Np) = [2, 2]"),
     (lambda tmp: _file_at_run(tmp, "solve", "--preset", "example1", "--out", str(tmp / "run")),
      "cannot use {tmp}/run as the output directory"),
     (lambda tmp: _file_at_run(tmp, "compare", "--preset", "example1", "--h", "0.01",
@@ -331,9 +339,10 @@ def _file_at_run(tmp_path, *argv):
     (lambda tmp: ["solve", "--preset", "example1", "--sim-horizon", "1e300",
                   "--out", str(tmp / "run")], "sim_horizon 1e+300 at h = 0.001 is 1e+303"),
 ], ids=["invalid-oracle", "np-list-0", "config-list", "game-list", "p0-number",
-        "J-string", "no-sim_horizon", "p0-strings", "np-empty", "nu-empty", "np-string",
+        "J-string", "no-sim_horizon", "p0-strings", "np-empty", "np-string",
         "np-list-empty", "p0-outside-box", "negative-horizon", "p0-bools", "horizon-bool",
         "horizon-past-float-range", "lq-unsettled", "compare-lq-unsettled", "np_list-number",
+        "nu-mismatch", "compare-nu-mismatch",
         "out-is-a-file", "out-under-a-file", "simulate-path-past-memory",
         "solve-path-past-memory"])
 def test_malformed_input_is_usage_error_before_any_work(tmp_path, capsys, make_argv, message):
@@ -373,7 +382,7 @@ def test_policy_roundtrip_is_lossless(tmp_path):
     from chebnash.solver import solve as lib_solve
     import warnings
 
-    spec = preset_spec("example1", h=0.01, tol=1e-4, rho=0.5, Np=2, Nu=2)
+    spec = preset_spec("example1", h=0.01, tol=1e-4, rho=0.5, Np=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = lib_solve(spec)

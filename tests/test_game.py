@@ -1,5 +1,7 @@
 """Unit tests for the game model: spec validation, dynamics, payoffs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from chebnash.game import (
     discounted_payoff,
     dynamics,
 )
-from chebnash.presets import preset_spec
+from chebnash.presets import preset_spec, spec_to_dict
 
 
 def example1(**kw):
@@ -40,13 +42,13 @@ def test_rejects_small_control_bound():
 def test_rejects_negative_offdiagonal_coupling():
     with pytest.raises(ValueError):
         GameSpec(J=2, K=[[1.0, -1.0], [-1.0, 1.0]], beta=1, phi=1, A=0.5,
-                 c=0.5, rho=0.1, h=1e-3, P_max=1.0, U_max=1.0, Np=2, Nu=2, tol=1e-6)
+                 c=0.5, rho=0.1, h=1e-3, P_max=1.0, U_max=1.0, Np=2, tol=1e-6)
 
 
 def test_rejects_single_player():
     with pytest.raises(ValueError):
         GameSpec(J=1, K=[[0.0]], beta=1, phi=1, A=0.5, c=0.5, rho=0.1,
-                 h=1e-3, P_max=1.0, U_max=1.0, Np=2, Nu=2, tol=1e-6)
+                 h=1e-3, P_max=1.0, U_max=1.0, Np=2, tol=1e-6)
 
 
 def test_scalar_parameters_broadcast():
@@ -69,6 +71,27 @@ def test_integral_sizes_of_any_integer_type_accepted():
     np.testing.assert_array_equal(spec.Np, [3, 3])
     np.testing.assert_array_equal(spec.Nu, [3, 3])
     assert spec.max_iters == 40 and type(spec.max_iters) is int
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(Np=2), dict(Np=4), dict(Np=8), dict(Np=8, P_max=1.2),
+], ids=["Np2", "Np4", "Np8", "Np8-Pmax1.2"])
+def test_matching_control_degree_keyword_changes_nothing(overrides):
+    # The benchmark's solves still pass Nu = Np.
+    spec = example1(**overrides)
+    assert spec_to_dict(example1(**overrides, Nu=overrides["Np"])) == spec_to_dict(spec)
+    assert "Nu" not in spec_to_dict(spec)
+    np.testing.assert_array_equal(spec.Nu, np.maximum(spec.Np, 2))
+
+
+@pytest.mark.parametrize("preset, overrides, degree", [
+    ("example1", dict(Np=4, Nu=5), [4, 4]),
+    ("example3", dict(Np=3, Nu=(2, 3, 4)), [3, 3, 3]),
+    ("example1", dict(Np=1, Nu=1), [2, 2]),
+], ids=["Np4-Nu5", "Np3-Nu234", "Np1-Nu1"])
+def test_control_degree_other_than_max_2_np_rejected(preset, overrides, degree):
+    with pytest.raises(ValueError, match=re.escape(f"Nu must be max(2, Np) = {degree}")):
+        preset_spec(preset, **overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def _asymmetric_game(J, seed):
     np.fill_diagonal(K, 0.0)
     draw = {name: rng.uniform(lo, hi, J) for name, lo, hi in [
         ("beta", 0.5, 1.5), ("phi", 0.5, 1.5), ("A", 0.3, 0.6), ("c", 0.3, 0.7), ("m", 0.5, 2.0)]}
-    return GameSpec(J=J, K=K, **draw, rho=0.5, h=0.01, P_max=0.5, U_max=1.0, Np=2, Nu=2,
+    return GameSpec(J=J, K=K, **draw, rho=0.5, h=0.01, P_max=0.5, U_max=1.0, Np=2,
                     tol=1e-6)
 
 

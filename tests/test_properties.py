@@ -19,7 +19,7 @@ coefficient = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 9).flatmap(lambda L: arrays(float, (3, L), elements=coefficient)))
+@given(st.integers(3, 9).flatmap(lambda L: arrays(float, (3, L), elements=coefficient)))
 def test_maximiser_never_below_a_grid_point(coef):
     x, f = _maximise_block(coef)
     assert np.all(np.abs(x) <= 1.0)
@@ -50,7 +50,6 @@ def game_specs(draw):
         P_max=draw(positive),
         U_max=float(A.max()) * draw(st.floats(1.0, 3.0)),
         Np=draw(st.lists(st.integers(1, 8), min_size=J, max_size=J)),
-        Nu=draw(st.integers(1, 8)),
         tol=draw(st.floats(1e-12, 1.0)),
         max_iters=draw(st.integers(1, 10**6)),
     )

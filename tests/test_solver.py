@@ -20,6 +20,7 @@ from chebnash.solver import (
     _derivative_stack,
     _evaluate_policy,
     _maximise_block,
+    _own_rows,
     _run_sweep,
     _successor_operator,
     _Workspace,
@@ -95,6 +96,8 @@ def test_maximiser_matches_dense_grid_scan():
 def test_sweep_maximiser_finds_global_maximum_of_multimodal_rows(degree):
     rng = np.random.default_rng(100 + degree)
     coef = rng.standard_normal((40, degree + 1))
+    if degree == 1:     # control fits have degree >= 2: a zero top coefficient
+        coef = np.pad(coef, ((0, 0), (0, 1)))
     x, f = _maximise_block(coef)
     xs = np.linspace(-1.0, 1.0, 200_001)
     for row, xr, fr in zip(coef, x, f):
@@ -130,8 +133,14 @@ def test_maximum_at_each_endpoint():
     np.testing.assert_allclose(f, [1.3, 1.3], rtol=1e-15)
 
 
-def test_linear_rows_take_the_higher_end():
-    coef = np.array([[0.2, 0.5], [0.2, -0.5], [0.2, 0.0]])
+def test_linear_rows_take_the_higher_end(monkeypatch):
+    # Degree-2 fits of linear functions take the convex endpoint rule.
+    coef = np.array([[0.2, 0.5, 0.0], [0.2, -0.5, 0.0], [0.2, 0.0, 0.0]])
+
+    def no_eigensolve(*args):
+        raise AssertionError("a linear row reached the eigensolve")
+
+    monkeypatch.setattr("chebnash.solver._colleague_argmax", no_eigensolve)
     x, f = _maximise_block(coef)
     np.testing.assert_array_equal(x[:2], [1.0, -1.0])
     np.testing.assert_allclose(f, [0.7, 0.7, 0.2])
@@ -263,7 +272,7 @@ def _zero_fields(spec, grid):
 
 
 def test_first_sweep_from_zero_recovers_myopic_policy():
-    spec = fast_spec(Np=2, Nu=3)
+    spec = fast_spec(Np=2)
     grid = build_state_grid(spec)
     values, policy = _zero_fields(spec, grid)
     v1, u1 = _sweep(spec, grid, values, policy)
@@ -277,7 +286,7 @@ def test_first_sweep_from_zero_recovers_myopic_policy():
 
 
 def test_value_field_interpolants_reproduce_node_values():
-    spec = fast_spec(Np=3, Nu=3)
+    spec = fast_spec(Np=3)
     result = solve_quiet(spec)
     grid = build_state_grid(spec)
     interpolants = fit_policy(grid, result.values)
@@ -309,7 +318,7 @@ def _pointwise_successor_values(spec, grid, i, node_values, policy_values, u_nod
 def test_policy_evaluation_is_the_sweeps_fixed_point_at_that_policy():
     # Distinct per-axis degrees, so a slip in the axis order or in the
     # Fortran order of the node values changes the answer.
-    spec = preset_spec("example3", Np=(2, 3, 4), Nu=3)
+    spec = preset_spec("example3", Np=(2, 3, 4))
     grid = build_state_grid(spec)
     ws = _Workspace(spec, grid)
     u = np.random.default_rng(5).uniform(0.0, spec.U_max, (spec.J, grid.n_nodes))
@@ -329,10 +338,10 @@ def _cardinal_matrix(rows):
     return card
 
 
-def _c_order_evaluation(ws, ops, policy):
+def _c_order_evaluation(ws, shared, policy):
     """Exact evaluation with each I - delta E_i built as a fresh C-order matrix."""
     spec, n = ws.spec, ws.grid.n_nodes
-    shared, owns = ops
+    owns = _own_rows(ws)
     out = np.empty((spec.J, n))
     for i, (pw, own) in enumerate(zip(ws.players, owns)):
         w = _row_basis(policy[i] * ws.u_scale - 1.0, pw.K) @ pw.M0
@@ -348,9 +357,9 @@ def _c_order_evaluation(ws, ops, policy):
 CHAIN5 = GameSpec(J=5, K=[[-1, 1, 0, 0, 0], [1, -2, 1, 0, 0], [0, 1, -2, 1, 0],
                           [0, 0, 1, -2, 1], [0, 0, 0, 1, -1]],
                   beta=1.0, phi=1.0, A=0.5, c=0.5, rho=0.1, h=1e-2, P_max=0.7, U_max=0.5,
-                  Np=3, Nu=3, tol=1e-6)
+                  Np=3, tol=1e-6)
 EVALUATED = {
-    "example1": preset_spec("example1", Np=4, Nu=4),
+    "example1": preset_spec("example1", Np=4),
     "example3": preset_spec("example3", Np=(2, 3, 4)),
     "example4": preset_spec("example4", h=1e-2),
     "chain5": CHAIN5,
@@ -390,8 +399,23 @@ def test_evaluation_buffer_carries_no_state_between_calls():
     assert np.array_equal(_evaluate_policy(ws, ops, u), first)
 
 
+def test_own_rows_are_built_once_outside_the_set_up():
+    # They depend on the control nodes only, so every operator of a solve
+    # reads the same rows; the workspace leaves them to the first sweep.
+    spec = preset_spec("example3", Np=(2, 3, 4), h=1e-2)
+    ws, ops, u = _operator_at_random_policy(spec, 12)
+    assert ws.own is None
+    v = np.random.default_rng(13).standard_normal(u.shape)
+    first = _run_sweep(ws, ops, v)
+    own = ws.own
+    _run_sweep(ws, _successor_operator(ws, u[:, ::-1].copy())[0], v)
+    _evaluate_policy(ws, ops, u)
+    assert ws.own is own
+    assert np.array_equal(_run_sweep(ws, ops, v), first)
+
+
 def test_second_evaluation_allocates_no_node_by_node_array():
-    spec = preset_spec("example4", Np=4, Nu=3, h=1e-2)
+    spec = preset_spec("example4", Np=4, h=1e-2)
     ws, ops, u = _operator_at_random_policy(spec, 10)
     n = ws.grid.n_nodes
     tracemalloc.start()
@@ -409,7 +433,7 @@ def test_second_evaluation_allocates_no_node_by_node_array():
 def test_sweep_values_match_pointwise_successor_evaluation():
     # The sweep binds the other players' axes once per node; here every
     # successor is evaluated on its own, on a grid of distinct degrees.
-    spec = preset_spec("example3", Np=(2, 3, 4), Nu=3)
+    spec = preset_spec("example3", Np=(2, 3, 4))
     grid = build_state_grid(spec)
     ws = _Workspace(spec, grid)
     rng = np.random.default_rng(11)
@@ -424,9 +448,8 @@ def test_sweep_values_match_pointwise_successor_evaluation():
 
 
 MIXED_DEGREES = {
-    "example3-Np": preset_spec("example3", Np=(2, 3, 4), Nu=3, h=1e-2),
-    "example3-Nu": preset_spec("example3", Np=3, Nu=(2, 3, 4), h=1e-2),
-    "example1-both": preset_spec("example1", Np=(4, 6), Nu=(3, 5), h=1e-2),
+    "example3-Np": preset_spec("example3", Np=(2, 3, 4), h=1e-2),
+    "example1-both": preset_spec("example1", Np=(4, 6), h=1e-2),
 }
 
 
@@ -435,12 +458,10 @@ def _player_by_player_sweep(ws, values, policy):
     spec, grid = ws.spec, ws.grid
     nodes = grid.nodes[:, None, :]
     u_best, v_best = np.empty((2, spec.J, grid.n_nodes))
-    n_clamped = 0
     for i, pw in enumerate(ws.players):
         controls = _successor_controls(policy, i, pw.u_nodes)
         nxt = nodes + spec.h * dynamics(spec, nodes, controls)      # (N_P, K, J)
         clipped = np.clip(nxt, 0.0, spec.P_max)
-        n_clamped += np.count_nonzero(clipped != nxt)
         ref = clipped * ws.p_scale - 1.0
         rows = [_row_basis(ref[:, 0, d], M.shape[0]) @ M for d, M in enumerate(ws.transforms)]
         M = ws.transforms[i]
@@ -451,7 +472,9 @@ def _player_by_player_sweep(ws, values, policy):
         objective = spec.delta * (pw.stage + np.einsum("nka,na->nk", own, partial))
         x, v_best[i] = _maximise_block(np.matmul(pw.M0, objective[:, :, None])[:, :, 0])
         u_best[i] = (x + 1.0) * (0.5 * spec.U_max)
-    return u_best, v_best, n_clamped
+    # The clamp count runs over the components of the policy's successors.
+    nxt = grid.nodes + spec.h * dynamics(spec, grid.nodes, policy.T)
+    return u_best, v_best, np.count_nonzero(np.clip(nxt, 0.0, spec.P_max) != nxt)
 
 
 @pytest.mark.parametrize("spec", MIXED_DEGREES.values(), ids=MIXED_DEGREES.keys())
@@ -466,7 +489,7 @@ def test_sweep_matches_player_by_player_reference(spec):
     u_ref, v_ref, clamped_ref = _player_by_player_sweep(ws, v, u)
     assert np.array_equal(u_new, u_ref)
     assert np.array_equal(v_new, v_ref)
-    assert clamped == clamped_ref
+    assert clamped == clamped_ref > 0
     assert solve_quiet(spec).converged
 
 
@@ -491,7 +514,7 @@ def test_loose_tolerance_stops_after_one_sweep():
 
 
 def test_two_player_exchange_symmetry():
-    spec = fast_spec(Np=4, Nu=4, tol=1e-8)
+    spec = fast_spec(Np=4, tol=1e-8)
     result = solve_quiet(spec)
     assert result.converged
     n = 5
@@ -503,7 +526,7 @@ def test_two_player_exchange_symmetry():
 def test_three_player_chain_symmetry_at_nodes():
     # example3's layout is invariant under swapping players 1 and 3
     spec = preset_spec("example3", rho=0.5, h=0.01, P_max=0.5, U_max=0.5,
-                       tol=1e-8, Np=2, Nu=2, max_iters=20_000)
+                       tol=1e-8, Np=2, max_iters=20_000)
     result = solve_quiet(spec)
     assert result.converged
     u0 = result.policy.values[0].reshape(3, 3, 3, order="F")
@@ -523,7 +546,7 @@ def _relabelled_games(seed):
                    A=rng.uniform(0.3, 0.6, J), c=rng.uniform(0.2, 0.8, J),
                    m=rng.uniform(0.5, 2.0, J), Np=rng.integers(1, 5, J))
     common = dict(J=J, rho=rng.uniform(0.1, 1.0), h=1e-2, P_max=rng.uniform(0.5, 1.5),
-                  U_max=0.7, Nu=3, tol=1e-6, max_iters=2000)
+                  U_max=0.7, tol=1e-6, max_iters=2000)
     perm = rng.permutation(J)
     if np.all(perm == np.arange(J)):
         perm = perm[::-1]
@@ -548,7 +571,7 @@ def test_solve_is_equivariant_under_player_relabelling(seed):
 
 def test_contraction_of_sup_differences():
     # The value-iteration step, which solve falls back to, contracts.
-    spec = fast_spec(Np=3, Nu=3)
+    spec = fast_spec(Np=3)
     grid = build_state_grid(spec)
     values, policy = _zero_fields(spec, grid)
     diffs = []
@@ -565,7 +588,7 @@ def test_fallback_keeps_policy_iteration_symmetric():
     # From the myopic start, accepting every proposal on this spec takes
     # 588 sweeps and ends with an exchange gap of 4.6e-4; the
     # value-iteration fallback avoids both.
-    spec = preset_spec("example1", Np=8, Nu=8, h=1e-2)
+    spec = preset_spec("example1", Np=8, h=1e-2)
     result = solve_quiet(spec, init=myopic_start(spec))
     assert result.converged
     n = 9
@@ -579,7 +602,7 @@ def test_fallback_keeps_policy_iteration_symmetric():
 def test_lq_start_needs_no_fallback():
     # From the myopic start this spec takes 85 sweeps, 15 evaluations and
     # 6 rejected proposals.
-    spec = preset_spec("example1", Np=8, Nu=8, h=1e-2)
+    spec = preset_spec("example1", Np=8, h=1e-2)
     result = solve_quiet(spec)
     assert result.converged
     assert result.rejected == 0
@@ -587,7 +610,7 @@ def test_lq_start_needs_no_fallback():
 
 
 def test_default_start_is_the_clipped_lq_oracle():
-    spec = preset_spec("example1", Np=8, Nu=8, h=1e-2, P_max=1.2, max_iters=1)
+    spec = preset_spec("example1", Np=8, h=1e-2, P_max=1.2, max_iters=1)
     grid = build_state_grid(spec)
     fb = lq_solve(spec, grid)
     assert fb.negative_fraction > 0.0           # the clip is exercised
@@ -602,7 +625,7 @@ def test_default_start_is_the_clipped_lq_oracle():
 
 
 def test_timings_cover_setup_start_and_sweeps():
-    result = solve_quiet(fast_spec(Np=3, Nu=3))
+    result = solve_quiet(fast_spec(Np=3))
     assert set(result.timings) == {"setup", "start", "sweeps", "total"}
     assert all(t >= 0.0 for t in result.timings.values())
     assert result.timings["total"] >= result.timings["setup"] + result.timings["start"]
@@ -611,7 +634,7 @@ def test_timings_cover_setup_start_and_sweeps():
 def test_fallback_wait_grows_across_accepted_proposals():
     # A wait that resets after an accepted proposal cycles on this spec
     # from the myopic start.
-    spec = preset_spec("example1", rho=0.5, h=5e-3, tol=1e-7, Np=2, Nu=2,
+    spec = preset_spec("example1", rho=0.5, h=5e-3, tol=1e-7, Np=2,
                        max_iters=2000)
     result = solve_quiet(spec, init=myopic_start(spec))
     assert result.converged
@@ -619,7 +642,7 @@ def test_fallback_wait_grows_across_accepted_proposals():
 
 # The LQ start's iteration rejects proposals on this spec, so it runs the
 # revert path: 86 sweeps, 16 evaluations and 6 rejected proposals.
-REJECTING = dict(rho=0.5, h=0.01, tol=1e-4, Np=2, Nu=2)
+REJECTING = dict(rho=0.5, h=0.01, tol=1e-4, Np=2)
 
 
 def test_rejecting_spec_keeps_its_counts():
@@ -629,7 +652,7 @@ def test_rejecting_spec_keeps_its_counts():
 
 
 @pytest.mark.parametrize("spec, rejects", [
-    (fast_spec(Np=3, Nu=3), False),
+    (fast_spec(Np=3), False),
     (preset_spec("example1", **REJECTING), True),
 ], ids=["fast", "rejecting"])
 def test_converged_result_is_a_fixed_point_to_tolerance(spec, rejects):
@@ -645,14 +668,14 @@ def test_converged_result_is_a_fixed_point_to_tolerance(spec, rejects):
 
 
 def test_policy_feasible_within_box():
-    spec = fast_spec(Np=3, Nu=3)
+    spec = fast_spec(Np=3)
     result = solve_quiet(spec)
     assert np.all(result.policy.values >= 0.0)
     assert np.all(result.policy.values <= spec.U_max)
 
 
 def test_restart_from_converged_fields_stops_immediately():
-    spec = fast_spec(Np=2, Nu=2)
+    spec = fast_spec(Np=2)
     first = solve_quiet(spec)
     assert first.converged
     again = solve_quiet(spec, init=(first.values, first.policy))
@@ -660,7 +683,7 @@ def test_restart_from_converged_fields_stops_immediately():
 
 
 def test_repeated_solves_are_bitwise_equal():
-    spec = preset_spec("example1", Np=4, Nu=4, h=1e-2)
+    spec = preset_spec("example1", Np=4, h=1e-2)
     first, second = solve_quiet(spec), solve_quiet(spec)
     for a, b in [(first.values.values, second.values.values),
                  (first.policy.values, second.policy.values),
@@ -672,7 +695,7 @@ def test_repeated_solves_are_bitwise_equal():
 
 @pytest.mark.parametrize("field", ["values", "policy"])
 def test_non_finite_initial_fields_rejected(field):
-    spec = fast_spec(Np=2, Nu=2)
+    spec = fast_spec(Np=2)
     fields = {"values": np.zeros((2, 9)), "policy": np.full((2, 9), 0.25)}
     fields[field][1, 4] = np.nan
     with pytest.raises(ValueError, match="initial fields"):
@@ -680,13 +703,13 @@ def test_non_finite_initial_fields_rejected(field):
 
 
 def test_non_convergence_reported_not_raised():
-    spec = fast_spec(Np=2, Nu=2, tol=1e-12, max_iters=5)
+    spec = fast_spec(Np=2, tol=1e-12, max_iters=5)
     result = solve_quiet(spec)
     assert not result.converged and result.iterations == 5
 
 
 def test_clamp_warning_when_box_too_small():
-    spec = fast_spec(Np=2, Nu=2, P_max=0.2, U_max=0.5, tol=1e-2, max_iters=50)
+    spec = fast_spec(Np=2, P_max=0.2, U_max=0.5, tol=1e-2, max_iters=50)
     with pytest.warns(RuntimeWarning, match="clamped"):
         solve(spec)
 
@@ -694,7 +717,7 @@ def test_clamp_warning_when_box_too_small():
 def test_no_clamps_when_no_successor_leaves_the_box():
     # With P_max = 50 every Euler successor of a node stays inside the box,
     # so a clamp could only come from rounding in the drift.
-    spec = preset_spec("example1", Np=3, Nu=3, h=1e-2, P_max=50.0, max_iters=1)
+    spec = preset_spec("example1", Np=3, h=1e-2, P_max=50.0, max_iters=1)
     zeros = np.zeros((2, 16))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -704,25 +727,29 @@ def test_no_clamps_when_no_successor_leaves_the_box():
 
 
 def test_clamp_fraction_counts_every_successor_component():
-    # P_max = 0.3 lets the successors of the top nodes leave the box in the
-    # other players' coordinates as well as in the own one.
-    spec = preset_spec("example3", Np=(2, 3, 4), Nu=3, h=1e-1, P_max=0.3, max_iters=1)
-    grid = build_state_grid(spec)
-    ws = _Workspace(spec, grid)
-    policy = np.broadcast_to(spec.A[:, None], (spec.J, grid.n_nodes))
-    nodes = grid.nodes[:, None, :]
-    clamped = others = total = 0
-    for i, pw in enumerate(ws.players):
-        controls = _successor_controls(policy, i, pw.u_nodes)
-        nxt = nodes + spec.h * dynamics(spec, nodes, controls)      # (N_P, K, J)
-        hit = np.clip(nxt, 0.0, spec.P_max) != nxt
-        clamped += np.count_nonzero(hit)
-        others += np.count_nonzero(np.delete(hit, i, axis=2))
-        total += hit.size
-    assert others > 0
-    result = solve_quiet(spec, init=myopic_start(spec))
+    # P_max = 0.3 lets the successors of the top nodes under the myopic
+    # policy leave the box in every player's coordinate; the fraction counts
+    # each of the N_P * J components once.
+    spec = preset_spec("example3", Np=(2, 3, 4), h=1e-1, P_max=0.3, max_iters=1)
+    start = myopic_start(spec)
+    nodes = build_state_grid(spec).nodes
+    nxt = nodes + spec.h * dynamics(spec, nodes, start[1].T)
+    hit = np.clip(nxt, 0.0, spec.P_max) != nxt
+    assert np.all(hit.any(axis=0)) and not np.all(hit)
+    result = solve_quiet(spec, init=start)
     assert result.iterations == 1
-    assert result.clamp_fraction == clamped / total
+    assert result.clamp_fraction == np.count_nonzero(hit) / hit.size
+
+
+def test_no_clamp_warning_when_the_policy_stays_in_the_box():
+    # The control nodes' successors leave the box here, but the solved
+    # policy's do not: neither warns.
+    spec = preset_spec("example1", Np=2, h=1e-2, tol=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = solve(spec)
+    assert result.converged
+    assert result.clamp_fraction == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +757,7 @@ def test_clamp_fraction_counts_every_successor_component():
 # ---------------------------------------------------------------------------
 
 def test_simulate_zero_policy_from_origin_stays_zero():
-    spec = fast_spec(Np=2, Nu=2)
+    spec = fast_spec(Np=2)
     grid = build_state_grid(spec)
     policies = fit_policy(grid, PolicyField(values=np.zeros((2, grid.n_nodes))))
     path = simulate(spec, policies, np.zeros(2), 50)
@@ -758,7 +785,7 @@ def test_simulate_nine_players_matches_pointwise_evaluation():
     J = 9
     K = np.ones((J, J)) - J * np.eye(J)
     spec = GameSpec(J=J, K=K, beta=1.0, phi=1.0, A=0.5, c=0.5, rho=0.1, h=1e-2,
-                    P_max=0.7, U_max=0.5, Np=1, Nu=1, tol=1e-6)
+                    P_max=0.7, U_max=0.5, Np=1, tol=1e-6)
     grid = build_state_grid(spec)
     rng = np.random.default_rng(16)
     policies = fit_policy(grid, PolicyField(values=rng.uniform(0.0, 0.5, (J, grid.n_nodes))))
@@ -770,7 +797,7 @@ def test_simulate_nine_players_matches_pointwise_evaluation():
 
 
 def test_simulate_rejects_out_of_box_start():
-    spec = fast_spec(Np=2, Nu=2)
+    spec = fast_spec(Np=2)
     grid = build_state_grid(spec)
     policies = fit_policy(grid, PolicyField(values=np.zeros((2, grid.n_nodes))))
     with pytest.raises(ValueError):
@@ -780,7 +807,7 @@ def test_simulate_rejects_out_of_box_start():
 @pytest.mark.parametrize("n_steps", [0, 5])
 @pytest.mark.parametrize("p0", [[np.nan, 0.0], [0.1, np.nan]])
 def test_simulate_rejects_non_finite_start(p0, n_steps):
-    spec = fast_spec(Np=2, Nu=2)
+    spec = fast_spec(Np=2)
     grid = build_state_grid(spec)
     policies = fit_policy(grid, PolicyField(values=np.zeros((2, grid.n_nodes))))
     with pytest.raises(ValueError, match="p0"):
@@ -789,7 +816,7 @@ def test_simulate_rejects_non_finite_start(p0, n_steps):
 
 @pytest.mark.parametrize("n_steps", [0, 5])
 def test_simulate_rejects_non_finite_policy_coefficient(n_steps):
-    spec = fast_spec(Np=2, Nu=2)
+    spec = fast_spec(Np=2)
     grid = build_state_grid(spec)
     policies = fit_policy(grid, PolicyField(values=np.full((2, grid.n_nodes), 0.25)))
     coef = policies[1].coefficients.copy()
@@ -800,7 +827,7 @@ def test_simulate_rejects_non_finite_policy_coefficient(n_steps):
 
 
 def test_simulate_rejects_policies_of_another_dimension():
-    spec = fast_spec(Np=2, Nu=2)
+    spec = fast_spec(Np=2)
     line = CoefTensor(build_state_grid(spec).bases[:1], np.full(3, 0.25))
     with pytest.raises(ValueError, match="policies"):
         simulate(spec, [line, line], np.full(2, 0.1), 5)
@@ -808,7 +835,7 @@ def test_simulate_rejects_policies_of_another_dimension():
 
 @pytest.mark.parametrize("n_steps", [-1, -5])
 def test_simulate_rejects_negative_step_count(n_steps):
-    spec = fast_spec(Np=2, Nu=2)
+    spec = fast_spec(Np=2)
     grid = build_state_grid(spec)
     policies = fit_policy(grid, PolicyField(values=np.zeros((2, grid.n_nodes))))
     with pytest.raises(ValueError, match="n_steps"):
@@ -816,7 +843,7 @@ def test_simulate_rejects_negative_step_count(n_steps):
 
 
 def test_value_matches_simulated_discounted_payoff():
-    spec = fast_spec(h=2e-3, Np=3, Nu=3)
+    spec = fast_spec(h=2e-3, Np=3)
     result = solve_quiet(spec)
     assert result.converged
     grid = build_state_grid(spec)
