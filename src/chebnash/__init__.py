@@ -5,11 +5,12 @@ J-player linear-quadratic pollution game by safeguarded policy iteration
 on a tensor-product Chebyshev collocation grid.  Each sweep evaluates the
 affine drift in closed form and every player's value interpolant at all
 successor states of all nodes in one batched contraction.  Between sweeps
-the current joint policy is evaluated exactly, with one dense linear
-solve per player.  The iteration starts from the equilibrium of the
-unconstrained linear-quadratic game, computed exactly in coefficient
-space; where its feedback stays inside the control box it also serves as
-an exact oracle.
+the current joint policy is evaluated exactly: one dense linear solve of
+the matrix all players share, corrected per player at the few nodes
+where its own successor clamps.  The iteration starts from the
+equilibrium of the unconstrained linear-quadratic game, computed exactly
+in coefficient space; where its feedback stays inside the control box it
+also serves as an exact oracle.
 """
 
 from .cheb1d import ChebBasis1D, make_basis, to_reference

@@ -31,13 +31,14 @@ from the equilibrium of the unconstrained linear-quadratic game
 (:func:`chebnash.oracle.lq_solve`): that oracle's values at the nodes and
 its policy clipped to [0, U_max].  A sweep's best responses are the
 improvement step; solve builds the operator at the joint policy they
-form, evaluates that policy exactly with it (:func:`_evaluate_policy`,
-one dense linear solve per player, each matrix built in one N_P x N_P
-buffer per solve), and the next sweep starts from those values and reads
-the same operator.  A proposal whose sweep does not lower the Bellman
-residual is rejected: the driver resumes from the sweep that made it, at
-the same policy and operator, and takes 1, 2, 4, ... plain
-value-iteration steps before the next proposal.
+form, evaluates that policy exactly with it (:func:`_evaluate_policy`:
+one LU of the N_P x N_P matrix that all players share, built in one
+buffer per solve, and a low-rank correction per player at the few nodes
+where its own successor clamps), and the next sweep starts from those
+values and reads the same operator.  A proposal whose sweep does not
+lower the Bellman residual is rejected: the driver resumes from the
+sweep that made it, at the same policy and operator, and takes 1, 2, 4,
+... plain value-iteration steps before the next proposal.
 
 Successor states are clamped to the state box before interpolation; the
 solver warns when more than 1% of a sweep's policy successor components
@@ -143,7 +144,7 @@ class _PlayerWork:
 
 class _Workspace:
     __slots__ = ("spec", "grid", "u_scale", "p_scale", "players", "transforms", "groups",
-                 "buffer", "own")
+                 "buffer", "own", "clamped", "union")
 
     def __init__(self, spec: GameSpec, grid: StateGrid):
         self.spec = spec
@@ -161,7 +162,7 @@ class _Workspace:
         # The players of each distinct control degree, maximised in one block.
         self.groups = [[i for i, e in enumerate(Nu) if e == d] for d in dict.fromkeys(Nu)]
         # Built at first use, by :func:`_buffer` and :func:`_own_rows`.
-        self.buffer = self.own = None
+        self.buffer = self.own = self.clamped = self.union = None
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +359,25 @@ def _own_rows(ws: _Workspace) -> list[np.ndarray]:
     """Rows (N_P, K_d, s_d) of coordinate d at player d's control nodes, for every d.
 
     Coordinate d moves with player d's control only, so over its fixed
-    control nodes these rows are the same for every policy.  They are
-    built at their first use, outside the timed set-up of :func:`solve`.
+    control nodes these rows are the same for every policy.  The same
+    holds for the nodes where one of those successors clamps: they are
+    recorded per player in `ws.clamped`, and their sorted union in
+    `ws.union`.  All are built at their first use, outside the timed
+    set-up of :func:`solve`.
     """
     if ws.own is None:
         spec, nodes = ws.spec, ws.grid.nodes
         still = _drift(spec, nodes, np.zeros_like(nodes))
-        coords = []
+        coords, clamps = [], []
         for d, pw in enumerate(ws.players):
             mine = nodes[:, d, None] + spec.h * (still[:, d, None] + spec.beta[d] * pw.u_nodes)
-            coords.append(np.clip(mine, 0.0, spec.P_max).ravel() * ws.p_scale - 1.0)
+            inside = np.clip(mine, 0.0, spec.P_max)
+            clamps.append(np.any(inside != mine, axis=1))
+            coords.append(inside.ravel() * ws.p_scale - 1.0)
         rows = _cardinal_rows(ws, coords)
         ws.own = [r.reshape(len(nodes), pw.K, -1) for r, pw in zip(rows, ws.players)]
+        ws.clamped = [np.flatnonzero(c) for c in clamps]
+        ws.union = np.flatnonzero(np.any(clamps, axis=0))
     return ws.own
 
 
@@ -435,25 +443,50 @@ def _evaluate_policy(
     successor value is linear in the node values through the cardinal
     rows, and only the own-axis rows C_i (:func:`_own_rows`) depend on k,
     so E_i is the row-wise Kronecker product of the operator's rows with
-    the own-axis row sum_k w_k C_i[n, k, :].
-    The fixed point solves (I - delta E_i) V_i = delta sum_k w_k stage_k,
-    one dense N_P x N_P system per player.  :func:`_kron_rows` builds the
-    transpose of that matrix in C order, in the workspace's buffer: the
-    matrix itself in Fortran order, as LAPACK takes it.  Raises
-    LinAlgError when one is singular.
+    the own-axis row sum_k w_k C_i[n, k, :], and the fixed point solves
+    (I - delta E_i) V_i = delta sum_k w_k stage_k.
+
+    The own successor is affine in the own control, and the control degree
+    is at least Np_i, so the averaged row is the cardinal row at the
+    policy's own successor, the operator's row, except at the nodes
+    S_i (`ws.clamped`) where an own successor clamps at a control node.
+    So I - delta E_i = A + P_i U_i, with A = I - delta E built from the
+    operator's rows alone, P_i the unit columns of S_i and
+    U_i = -delta (E_i - E)[S_i, :], the row-wise Kronecker product at S_i
+    with the own row replaced by the averaged row minus the operator's.
+    One LU of A, built transposed in the workspace's buffer (the matrix
+    in the Fortran order LAPACK reads), solves for every player's
+    right-hand side y_i and for the unit columns Z of the union of the
+    S_i, and the Sherman-Morrison-Woodbury identity (Hager 1989) gives
+    V_i = y_i - Z_i (I + U_i Z_i)^-1 U_i y_i.  Raises LinAlgError when A
+    or a correction system is singular.
     """
     spec = ws.spec
-    n = ws.grid.n_nodes
-    out = np.empty((spec.J, n))
-    for i, (pw, own) in enumerate(zip(ws.players, _own_rows(ws))):
-        w = _row_basis(policy_values[i] * ws.u_scale - 1.0, pw.K) @ pw.M0   # (n, K)
-        mine = np.ascontiguousarray(np.einsum("nk,nka->na", w, own).T)
-        # (I - delta E)^T, built in place.
-        At = _kron_rows(shared[:i] + [mine] + shared[i + 1:], _buffer(ws))
-        At *= -spec.delta
-        At.flat[:: n + 1] += 1.0
-        rhs = spec.delta * np.einsum("nk,nk->n", w, pw.stage)
-        out[i] = np.linalg.solve(At.T, rhs)
+    n, J = ws.grid.n_nodes, spec.J
+    owns, union = _own_rows(ws), ws.union
+    weights = [_row_basis(u * ws.u_scale - 1.0, pw.K) @ pw.M0
+               for u, pw in zip(policy_values, ws.players)]                # (n, K) each
+    rhs = np.zeros((J + len(union), n))
+    for i, (w, pw) in enumerate(zip(weights, ws.players)):
+        rhs[i] = spec.delta * np.einsum("nk,nk->n", w, pw.stage)
+    rhs[np.arange(J, J + len(union)), union] = 1.0
+    # (I - delta E)^T, built in place.
+    At = _kron_rows(shared, _buffer(ws))
+    At *= -spec.delta
+    At.flat[:: n + 1] += 1.0
+    solution = np.linalg.solve(At.T, rhs.T)
+    out = np.ascontiguousarray(solution[:, :J].T)
+    for i, (w, own, rows) in enumerate(zip(weights, owns, ws.clamped)):
+        if not rows.size:
+            continue
+        diff = -spec.delta * (np.einsum("nk,nka->an", w[rows], own[rows]) - shared[i][:, rows])
+        # U_i^T, built in the buffer, which the solve above has left free.
+        Ut = _kron_rows([r[:, rows] for r in shared[:i]] + [diff]
+                        + [r[:, rows] for r in shared[i + 1:]], ws.buffer)
+        Z = solution[:, J + np.searchsorted(union, rows)]
+        small = Ut.T @ Z
+        small.flat[:: rows.size + 1] += 1.0
+        out[i] -= Z @ np.linalg.solve(small, Ut.T @ out[i])
     return out
 
 

@@ -339,7 +339,7 @@ def _cardinal_matrix(rows):
 
 
 def _c_order_evaluation(ws, shared, policy):
-    """Exact evaluation with each I - delta E_i built as a fresh C-order matrix."""
+    """Exact evaluation with each player's own I - delta E_i built as a fresh C-order matrix."""
     spec, n = ws.spec, ws.grid.n_nodes
     owns = _own_rows(ws)
     out = np.empty((spec.J, n))
@@ -364,6 +364,8 @@ EVALUATED = {
     "example4": preset_spec("example4", h=1e-2),
     "chain5": CHAIN5,
 }
+# No own successor clamps at a control node on this grid (ex1-bound's).
+UNCLAMPED = preset_spec("example1", Np=8, P_max=1.2, h=1e-2)
 
 
 def _operator_at_random_policy(spec, seed):
@@ -373,12 +375,57 @@ def _operator_at_random_policy(spec, seed):
     return ws, _successor_operator(ws, u)[0], u
 
 
-@pytest.mark.parametrize("spec", EVALUATED.values(), ids=EVALUATED.keys())
-def test_evaluation_is_bitwise_the_c_order_build(spec):
-    # The Fortran-order matrix holds the same bytes as the C-order build,
-    # so LAPACK sees the same system.
+@pytest.mark.parametrize("spec", [*EVALUATED.values(), UNCLAMPED],
+                         ids=[*EVALUATED, "example1-unclamped"])
+def test_evaluation_matches_the_per_player_dense_reference(spec):
+    # One LU of the shared matrix and a low-rank correction per player at
+    # its clamped nodes give each player's own system's solution.
     ws, ops, u = _operator_at_random_policy(spec, 7)
-    assert np.array_equal(_evaluate_policy(ws, ops, u), _c_order_evaluation(ws, ops, u))
+    np.testing.assert_allclose(_evaluate_policy(ws, ops, u), _c_order_evaluation(ws, ops, u),
+                               rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("spec", [EVALUATED["example3"], EVALUATED["example4"], CHAIN5],
+                         ids=["example3", "example4", "chain5"])
+def test_averaged_own_row_is_the_operators_row_off_the_clamped_nodes(spec):
+    # The own successor is affine in the own control and the control degree
+    # is at least Np_i, so averaging the own rows over the control nodes
+    # reproduces the row at the policy's own successor wherever no control
+    # node's own successor clamps.
+    ws, ops, u = _operator_at_random_policy(spec, 19)
+    owns = _own_rows(ws)
+    for i, (pw, own, rows) in enumerate(zip(ws.players, owns, ws.clamped)):
+        w = _row_basis(u[i] * ws.u_scale - 1.0, pw.K) @ pw.M0
+        free = np.setdiff1d(np.arange(ws.grid.n_nodes), rows)
+        np.testing.assert_allclose(np.einsum("nk,nka->na", w[free], own[free]), ops[i].T[free],
+                                   rtol=0, atol=1e-13)
+    assert np.array_equal(ws.union, np.unique(np.concatenate(ws.clamped)))
+
+
+def test_no_clamped_nodes_on_the_bound_grid():
+    ws = _Workspace(UNCLAMPED, build_state_grid(UNCLAMPED))
+    _own_rows(ws)
+    assert all(rows.size == 0 for rows in ws.clamped)
+    assert ws.union.size == 0
+
+
+@pytest.mark.parametrize("spec", EVALUATED.values(), ids=EVALUATED.keys())
+def test_one_node_by_node_solve_per_evaluation(spec, monkeypatch):
+    ws, ops, u = _operator_at_random_policy(spec, 23)
+    n = ws.grid.n_nodes
+    shapes = []
+    solve_ = np.linalg.solve
+
+    def counted(a, b):
+        shapes.append(np.shape(a))
+        return solve_(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    _evaluate_policy(ws, ops, u)
+    assert shapes.count((n, n)) == 1
+    # Every other solve is a player's correction system, one per player
+    # with clamped nodes.
+    assert sorted(shapes[1:]) == sorted((r.size, r.size) for r in ws.clamped if r.size)
 
 
 def test_evaluation_buffer_carries_no_state_between_calls():
