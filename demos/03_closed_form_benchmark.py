@@ -2,8 +2,8 @@
 
 Without the control bounds the discounted Bellman update maps quadratic
 values and affine feedbacks to the same family, so its fixed point can be
-computed exactly in coefficient space, by policy iteration on the affine
-feedback.  Where that feedback stays inside the control box, the oracle
+computed exactly in coefficient space, by best-response iteration on the
+feedback gains.  Where that feedback stays inside the control box, the oracle
 gives a true policy error for the collocation solver at each degree (the
 solver also starts from it).
 
@@ -24,7 +24,7 @@ print("closed-form feedback u_i(p) = e_i + f_i . p")
 print(f"  e = {np.round(fb.e, 6)}")
 print(f"  f = {np.round(fb.f, 6)}")
 print(f"  unconstrained feedback negative on {fb.negative_fraction:.1%} of grid nodes")
-print(f"  (fixed point reached in {fb.iterations} policy-iteration steps)")
+print(f"  (fixed point reached in {fb.iterations} gain steps)")
 
 print("\npolicy error of the collocation solver by state degree:")
 print(f"{'degree':>7} {'nodes':>6} {'error':>12} {'sweeps':>7} {'seconds':>8}")

@@ -238,10 +238,11 @@ def cmd_solve(args) -> int:
         [iters] + [result.history[:, d] for d in range(spec.J)],
     )
     status = "converged" if result.converged else "not converged"
+    t = result.timings
     print(f"{status} after {result.iterations} sweeps and "
           f"{result.evaluations} policy evaluations, {result.rejected} rejected "
           f"(final residual {result.history[-1].max():.3e}, "
-          f"{result.timings['total']:.2f} s)")
+          f"{t['total']:.3g} s: LQ start {t['start']:.3g} s, sweeps {t['sweeps']:.3g} s)")
     return 0 if result.converged else 3
 
 

@@ -27,9 +27,11 @@ control nodes are fixed for a solve (:func:`_own_rows`).  One sweep
    the rows' colleague matrices and polished by two Newton steps.
 
 The driver (:func:`solve`) runs safeguarded policy iteration.  It starts
-from the equilibrium of the unconstrained linear-quadratic game
-(:func:`chebnash.oracle.lq_solve`): that oracle's values at the nodes and
-its policy clipped to [0, U_max].  A sweep's best responses are the
+from the linear-feedback equilibrium of the unconstrained
+linear-quadratic game, its gains settled to the solve's own tolerance
+(the construction of :func:`chebnash.oracle.lq_solve`, which settles them
+to 1e-13): its values at the nodes and its policy clipped to [0, U_max].
+A sweep's best responses are the
 improvement step; solve builds the operator at the joint policy they
 form, evaluates that policy exactly with it (:func:`_evaluate_policy`:
 one LU of the N_P x N_P matrix that all players share, built in one
@@ -47,13 +49,14 @@ clamp, which signals that P_max is too small for the chosen control bound.
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cheb1d import _transform_matrix, clenshaw, derivative_array, make_basis
+from .cheb1d import _freeze, _transform_matrix, clenshaw, derivative_array, make_basis
 from .chebnd import CoefTensor, _row_basis, tensor_coeffs
 from .game import (
     GameSpec,
@@ -63,7 +66,7 @@ from .game import (
     _stage_gain,
     build_state_grid,
 )
-from .oracle import lq_solve
+from .oracle import _controls, _lq_feedback, _values
 
 _CLAMP_WARN_FRACTION = 0.01
 
@@ -110,7 +113,7 @@ class EquilibriumResult:
     `clamp_fraction` is the worst per-sweep share of the N_P * J successor
     components of the sweep's joint policy that hit the state box.
     `timings` holds wall seconds: "setup" (grid, workspace and validation
-    of `init`), "start" (the LQ oracle when `init` is omitted), "sweeps"
+    of `init`), "start" (the LQ feedback when `init` is omitted), "sweeps"
     (the iteration) and "total" (all three).
     """
 
@@ -193,16 +196,30 @@ def _colleague_roots(q: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(C).real
 
 
+@functools.cache
+def _differentiation_matrix(L: int) -> np.ndarray:
+    """(L, 2L-2) map from L coefficients to the interleaved series of f' and f''.
+
+    Column 2l + j holds coefficient l of the j-th derivative; the top
+    coefficient of f'' is zero.
+    """
+    q1 = derivative_array(np.eye(L))                    # row k: T_k'
+    W = np.zeros((L, L - 1, 2))
+    W[:, :, 0] = q1
+    W[:, :-1, 1] = derivative_array(q1)
+    return _freeze(W.reshape(L, -1))
+
+
 def _derivative_stack(coef: np.ndarray) -> np.ndarray:
     """(L-1, 2, m) series of f' and f'' of each row of (m, L) coefficients, L >= 3.
 
     f'' gets a zero top coefficient, so one Clenshaw pass evaluates both.
+    The product is an einsum, not a BLAS call: a lone row would take
+    BLAS's vector kernel, whose sums run in another order than a block's.
     """
-    q1 = derivative_array(coef)
-    dq = np.zeros((coef.shape[1] - 1, 2, coef.shape[0]))
-    dq[:, 0] = q1.T
-    dq[:-1, 1] = derivative_array(q1).T
-    return dq
+    L = coef.shape[1]
+    return np.einsum("lm,lk->km", np.ascontiguousarray(coef.T),
+                     _differentiation_matrix(L)).reshape(L - 1, 2, -1)
 
 
 def _colleague_argmax(coef: np.ndarray, dq: np.ndarray) -> np.ndarray:
@@ -279,8 +296,8 @@ def _convex_argmax(coef: np.ndarray) -> np.ndarray:
     endpoint; a tie takes -1, as the argmax of :func:`_colleague_argmax`
     does, whose candidates start with -1 and 1.
     """
-    ends = clenshaw(coef.T[:, :, None], np.array([-1.0, 1.0]))          # (m, 2)
-    return np.where(ends[:, 1] > ends[:, 0], 1.0, -1.0)
+    # T_l(1) = 1 and T_l(-1) = (-1)^l, so f(1) - f(-1) is twice the odd coefficients' sum.
+    return np.where(coef[:, 1::2].sum(axis=1) > 0.0, 1.0, -1.0)
 
 
 def _maximise_block(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,9 +322,11 @@ def _maximise_block(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = _concave_argmax(dq)
     else:
         x = np.empty(len(coef))
-        x[concave] = _concave_argmax(dq[:, :, concave])
+        if concave.any():
+            x[concave] = _concave_argmax(dq[:, :, concave])
         convex = q2[0] - spread >= 0.0
-        x[convex] = _convex_argmax(coef[convex])
+        if convex.any():
+            x[convex] = _convex_argmax(coef[convex])
         rest = ~(concave | convex)
         if rest.any():
             x[rest] = _colleague_argmax(coef[rest], dq[:, :, rest])
@@ -528,8 +547,12 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
         Model and numerical parameters.
     init : pair, optional
         Initial (values, policy) as (J, N_P) arrays or field objects;
-        defaults to the LQ oracle (:func:`chebnash.oracle.lq_solve`): its
-        values at the nodes and its policy clipped to [0, U_max].  Pass
+        defaults to the linear-feedback equilibrium of the unconstrained
+        game with its gains settled to `spec.tol`, not to the 1e-13 of
+        :func:`chebnash.oracle.lq_solve`: its values at the nodes and its
+        policy clipped to [0, U_max].  The stop rule above certifies the
+        result, so the start only has to lie where policy iteration
+        converges, and it lies within about tol of the oracle's.  Pass
         ``(zeros, spec.A broadcast to (J, N_P))`` to start from the myopic
         corner instead.
 
@@ -544,16 +567,19 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     Raises
     ------
     RuntimeError, FloatingPointError
-        When `init` is omitted and the LQ oracle does not settle.
+        When `init` is omitted and the LQ start does not settle, its closed
+        loop has delta rho(M)^2 >= 1 included (the RuntimeError's message
+        starts "linear feedback not settled").
     """
     t_begin = time.perf_counter()
     grid = build_state_grid(spec)
     ws = _Workspace(spec, grid)
     fields = None if init is None else _initial_fields(spec, grid, init)
     t_setup = time.perf_counter()
-    if fields is None:      # the LQ oracle's node values and clipped policy
-        fb = lq_solve(spec, grid)
-        fields = fb.value(grid.nodes).T, np.clip(fb.policy(grid.nodes).T, 0.0, spec.U_max)
+    if fields is None:      # the LQ feedback's node values and clipped policy, to tol
+        Q, b, d, e, f, _ = _lq_feedback(spec, spec.tol)
+        fields = (_values(Q, b, d, grid.nodes).T,
+                  np.clip(_controls(e, f, grid.nodes).T, 0.0, spec.U_max))
     v_values, u_values = fields
     t_start = time.perf_counter()
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
 import json
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from chebnash.cli import _build_parser, main
+from chebnash.solver import solve
 
 FAST = ["--h", "0.01", "--tol", "1e-4", "--rho", "0.5", "--np", "2"]
 
@@ -41,6 +43,23 @@ def test_solve_writes_all_outputs(tmp_path):
     conv = read_csv(out / "convergence.csv")
     assert conv.dtype.names == ("iteration", "supdiff_1", "supdiff_2")
     assert conv["supdiff_1"][-1] < 1e-4
+
+
+def test_solve_line_shows_the_start_and_sweep_times(tmp_path, capsys, monkeypatch):
+    results = []
+
+    def recording_solve(spec):
+        results.append(solve(spec))
+        return results[-1]
+
+    monkeypatch.setattr("chebnash.cli.solve", recording_solve)
+    assert run_cli(["solve", "--preset", "example1", *FAST, "--out", str(tmp_path / "run")]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    found = re.search(r"LQ start (\S+) s, sweeps (\S+) s\)$", line)
+    assert found, line
+    timings = results[0].timings
+    assert found.groups() == (f"{timings['start']:.3g}", f"{timings['sweeps']:.3g}")
+    assert 0.0 < float(found[1]) and 0.0 < float(found[2])
 
 
 def test_run_json_echoes_resolved_config(tmp_path):
@@ -266,7 +285,8 @@ def test_simulate_malformed_inputs_are_usage_errors(tmp_path, capsys, name, edit
     assert not (out / "timepath.csv").exists()
 
 
-# The LQ start's policy iteration does not settle on this game.
+# Explicit Euler overshoots the fast exchange K / m on this game, so the LQ
+# feedback's closed loop is unstable and the LQ start is refused.
 UNSETTLED = {"preset": "example1", "game": {"m": 1e-6, "h": 0.01, "Np": 3}}
 
 

@@ -6,6 +6,7 @@ import pytest
 from chebnash.game import GameSpec, _euler_step, build_state_grid
 from chebnash.oracle import lq_solve, policy_error
 from chebnash.presets import preset_spec
+from chebnash.solver import solve
 
 # fast-converging settings for unit tests (larger rho*h)
 FAST = dict(rho=0.5, h=0.01, P_max=0.5, U_max=1.0, tol=1e-6)
@@ -133,6 +134,71 @@ def test_policy_iteration_matches_the_update_fixed_point(name, overrides):
     for got, ref in [(fb.Q, Q), (fb.b, b), (fb.e, e), (fb.f, f)]:
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(fb.d, d, rtol=0, atol=1e-8)
+
+
+def _coupled_policy_iteration(spec):
+    """Policy iteration on the whole profile (e, f), every profile evaluated exactly.
+
+    Each step evaluates u = e + f p by one Stein equation per player
+    (through np.kron) and linear and constant terms on its closed loop,
+    then takes every player's best response by _bellman_update; it stops
+    when (e, f) move by less than 1e-13.
+    """
+    J, h, delta = spec.J, spec.h, spec.delta
+    D = _drift_matrix(spec)
+    e, f = spec.A.copy(), np.zeros((J, J))
+    for _ in range(100):
+        M = np.eye(J) + h * (D + spec.beta[:, None] * f)
+        w = h * spec.beta * e
+        stein = np.eye(J * J) - delta * np.kron(M.T, M.T)
+        Q, b, d = np.empty((J, J, J)), np.empty((J, J)), np.empty(J)
+        for i in range(J):
+            S = -0.5 * np.outer(f[i], f[i])
+            S[i, i] -= 0.5 * spec.phi[i]
+            Qi = np.linalg.solve(stein, delta * h * S.ravel()).reshape(J, J)
+            Q[i] = 0.5 * (Qi + Qi.T)
+            linear = h * (spec.A[i] - e[i]) * f[i] + 2.0 * M.T @ Q[i] @ w
+            b[i] = np.linalg.solve(np.eye(J) - delta * M.T, delta * linear)
+            const = h * (spec.A[i] * e[i] - 0.5 * e[i] ** 2) + w @ Q[i] @ w + b[i] @ w
+            d[i] = delta * const / (1.0 - delta)
+        _, _, _, en, fn = _bellman_update(spec, Q, b, d, e, f)
+        if max(np.max(np.abs(en - e)), np.max(np.abs(fn - f))) < 1e-13:
+            return Q, b, d, e, f
+        e, f = en, fn
+    raise AssertionError("reference policy iteration did not settle")
+
+
+@pytest.mark.parametrize("name", ["example1", "example3", "example4"])
+def test_gain_iteration_matches_coupled_policy_iteration(name):
+    # Iterating the gains alone and solving for e once reaches the profile
+    # that policy iteration on (e, f) together reaches.
+    spec = preset_spec(name)
+    fb = lq_solve(spec)
+    Q, b, d, e, f = _coupled_policy_iteration(spec)
+    for got, ref in [(fb.Q, Q), (fb.b, b), (fb.e, e), (fb.f, f)]:
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    # d carries the factor 1 / (1 - delta) = 1e4.
+    np.testing.assert_allclose(fb.d, d, rtol=0, atol=1e-10)
+
+
+# Explicit Euler overshoots the fast exchange K / m: the loop is unstable.
+UNSTABLE = dict(m=1e-6, h=0.01, Np=3)
+
+
+@pytest.mark.parametrize("run", [lq_solve, solve], ids=["lq_solve", "solve"])
+def test_unstable_closed_loop_is_refused_early(run, monkeypatch):
+    spec = preset_spec("example1", **UNSTABLE)
+    stein = []
+    plain_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        stein.append(np.shape(a) == (spec.J**2, spec.J**2))
+        return plain_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    with pytest.raises(RuntimeError, match=r"^linear feedback not settled: delta rho\(M\)\^2 = "):
+        run(spec)
+    assert 0 < sum(stein) <= 20
 
 
 @pytest.mark.parametrize("name", ["example1", "example3", "example4"])

@@ -10,7 +10,7 @@ import pytest
 from chebnash.cheb1d import clenshaw, derivative_array, make_basis, to_reference
 from chebnash.chebnd import CoefTensor, _row_basis, basis_matrix, eval_full, tensor_coeffs
 from chebnash.game import GameSpec, build_state_grid, discounted_payoff, dynamics
-from chebnash.oracle import lq_solve
+from chebnash.oracle import LQFeedback, _lq_feedback, lq_solve
 from chebnash.presets import preset_spec
 from chebnash.solver import (
     PolicyField,
@@ -196,6 +196,20 @@ def test_concave_rows_reach_the_colleague_paths_maximum(L, monkeypatch):
     assert np.all(np.abs(x) <= 1.0)
     assert np.all(f >= f_eig - 1e-15 * np.abs(coef).max(axis=1))
     assert np.all(x[-20:-10] == 1.0) and np.all(x[-10:] == -1.0)
+
+
+@pytest.mark.parametrize("L", range(3, 11))
+def test_derivative_stack_is_the_recurrence_row_by_row(L):
+    rng = np.random.default_rng(400 + L)
+    coef = rng.standard_normal((40, L))
+    dq = _derivative_stack(coef)
+    q1 = derivative_array(coef)
+    q2 = derivative_array(q1)
+    np.testing.assert_allclose(dq[:, 0].T, q1, rtol=0, atol=1e-14 * np.abs(q1).max())
+    np.testing.assert_allclose(dq[:-1, 1].T, q2, rtol=0, atol=1e-14 * np.abs(q2).max())
+    assert np.all(dq[-1, 1] == 0.0)
+    for i, row in enumerate(coef):
+        assert np.array_equal(_derivative_stack(row[None, :])[:, :, 0], dq[:, :, i])
 
 
 def test_mixed_block_rows_equal_their_lone_results():
@@ -657,11 +671,18 @@ def test_lq_start_needs_no_fallback():
 
 
 def test_default_start_is_the_clipped_lq_oracle():
+    # The start settles the LQ gains to spec.tol, the oracle to 1e-13.
     spec = preset_spec("example1", Np=8, h=1e-2, P_max=1.2, max_iters=1)
     grid = build_state_grid(spec)
-    fb = lq_solve(spec, grid)
-    assert fb.negative_fraction > 0.0           # the clip is exercised
+    Q, b, d, e, f, _ = _lq_feedback(spec, spec.tol)
+    fb = LQFeedback(Q=Q, b=b, d=d, e=e, f=f, iterations=0, negative_fraction=0.0,
+                    high_fraction=0.0)
     start = (fb.value(grid.nodes).T, np.clip(fb.policy(grid.nodes).T, 0.0, spec.U_max))
+    oracle = lq_solve(spec, grid)
+    assert oracle.negative_fraction > 0.0       # the clip is exercised
+    exact = (oracle.value(grid.nodes).T, np.clip(oracle.policy(grid.nodes).T, 0.0, spec.U_max))
+    for got, ref in zip(start, exact):
+        assert np.max(np.abs(got - ref)) <= 10.0 * spec.tol
     default, given = solve_quiet(spec), solve_quiet(spec, init=start)
     for a, b in [(default.values.values, given.values.values),
                  (default.policy.values, given.policy.values),
