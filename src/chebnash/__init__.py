@@ -4,10 +4,12 @@ The package computes Markov-perfect (feedback) Nash equilibria of a
 J-player linear-quadratic pollution game by safeguarded policy iteration
 on a tensor-product Chebyshev collocation grid.  Each sweep evaluates the
 affine drift in closed form and every player's value interpolant at all
-successor states of all nodes in one batched contraction.  Between sweeps
-the current joint policy is evaluated exactly: one dense linear solve of
-the matrix all players share, corrected per player at the few nodes
-where its own successor clamps.  The iteration starts from the
+successor states of all nodes in one batched contraction, and maximises
+each player's exact objective in its own control: a polynomial fit,
+exact on the interval where the own successor stays in the state box,
+against the best point of the clamped rest.  Between sweeps the current
+joint policy is evaluated exactly: one dense LU of the matrix all
+players share, with one right-hand side per player.  The iteration starts from the
 equilibrium of the unconstrained linear-quadratic game, computed exactly
 in coefficient space; where its feedback stays inside the control box it
 also serves as an exact oracle.

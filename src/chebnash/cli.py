@@ -211,12 +211,12 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
 
 def cmd_solve(args) -> int:
     cfg, spec = _resolve_run(args)
-    out = _out_dir(args)
     grid = build_state_grid(spec)
     try:
         result = solve(spec)
     except (RuntimeError, FloatingPointError) as exc:
         raise ConfigError(f"LQ start failed: {exc}") from exc
+    out = _out_dir(args)
     _write_echo(out / "run.json", cfg)
 
     idx = np.arange(grid.n_nodes)

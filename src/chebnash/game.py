@@ -45,9 +45,11 @@ class GameSpec:
     J players.  Validation enforces the usual sanity conditions, notably
     h < 1/rho (so the discrete discount factor lies in (0, 1)) and
     U_max >= max_i A_i (the myopic optimum is inside the control box).
-    The control degrees `Nu` are max(2, Np_i), the lowest at which the
-    sweep's objective, u(A - u/2) plus the degree-Np value at the successor,
-    is fitted exactly in the own control; a keyword `Nu` must equal them.
+    The control degrees `Nu` are max(2, Np_i).  On each node's unclamped
+    interval of the own control, where the own successor stays in the
+    state box, the sweep's objective, u(A - u/2) plus the degree-Np value
+    at the successor, is a polynomial of that degree, so its fit there is
+    exact; a keyword `Nu` must equal them.
     """
 
     J: int

@@ -1,46 +1,46 @@
 """Collocation solver for the feedback equilibrium of the pollution game.
 
 The iteration keeps, for every player, the node values of the value
-function and the current policy values; each player's control runs over
-Chebyshev nodes of degree max(2, Np_i).  Each joint policy has one
+function and the current policy values.  Each joint policy has one
 successor operator (:func:`_successor_operator`): the per-axis cardinal
 rows of the clamped Euler successors under the affine drift g(p, u) in
 closed form.  Coordinate d moves with player d's control only, so its
-rows are shared by every other player, and its rows at player d's
-control nodes are fixed for a solve (:func:`_own_rows`).  One sweep
-(:func:`_run_sweep`) reads it and performs, at all state nodes:
+rows are shared by every other player; for player d it is affine in that
+control, so at each node it is clamped only outside one interval, whose
+Chebyshev points and rows are fixed for a solve (:func:`_own_rows`).
+One sweep (:func:`_run_sweep`) reads them and performs, at all state nodes:
 
 1. for each player, evaluate its value interpolant at all successor
    states from its node values, binding the other players' axes once per
    node through their row-wise Kronecker product (:func:`_kron_rows`)
-   and the own axis once per control, form the candidate objective,
-   stage gain plus discounted successor value, and fit its
-   one-dimensional Chebyshev interpolant in the own control;
-2. for all players at once (one block per distinct control degree),
-   maximise those interpolants over the control interval
-   (:func:`_maximise_block`).  A row whose second-derivative series
-   certifies f'' < 0 on the interval has at most one critical point: an
-   endpoint when f' keeps one sign there, otherwise the root of f' found
-   by Newton steps kept inside a sign bracket.  A row certified f'' >= 0
-   takes the better endpoint.  Every other row compares both endpoints
-   with all roots of its derivative, found at once as the eigenvalues of
-   the rows' colleague matrices and polished by two Newton steps.
+   and the own axis once per sample, form the objective, stage gain plus
+   discounted successor value, at the max(2, Np_i) + 1 points, and fit
+   its interpolant on the interval, where the fit is exact;
+2. for all players at once (one block per distinct fit degree), maximise
+   those interpolants over the interval (:func:`_maximise_block`).  A row
+   whose second-derivative series certifies f'' < 0 on the interval has
+   at most one critical point: an endpoint when f' keeps one sign there,
+   otherwise the root of f' found by Newton steps kept inside a sign
+   bracket.  A row certified f'' >= 0 takes the better endpoint.  Every
+   other row compares both endpoints with all roots of its derivative,
+   found at once as the eigenvalues of the rows' colleague matrices and
+   polished by two Newton steps;
+3. compare each maximum with the best point of the clamped rest, where
+   the objective is the stage gain plus a constant.
 
 The driver (:func:`solve`) runs safeguarded policy iteration.  It starts
 from the linear-feedback equilibrium of the unconstrained
 linear-quadratic game, its gains settled to the solve's own tolerance
 (the construction of :func:`chebnash.oracle.lq_solve`, which settles them
 to 1e-13): its values at the nodes and its policy clipped to [0, U_max].
-A sweep's best responses are the
-improvement step; solve builds the operator at the joint policy they
-form, evaluates that policy exactly with it (:func:`_evaluate_policy`:
-one LU of the N_P x N_P matrix that all players share, built in one
-buffer per solve, and a low-rank correction per player at the few nodes
-where its own successor clamps), and the next sweep starts from those
-values and reads the same operator.  A proposal whose sweep does not
-lower the Bellman residual is rejected: the driver resumes from the
-sweep that made it, at the same policy and operator, and takes 1, 2, 4,
-... plain value-iteration steps before the next proposal.
+A sweep's best responses are the improvement step; solve builds the
+operator at the joint policy they form, evaluates that policy exactly
+with it (:func:`_evaluate_policy`: one LU of the N_P x N_P matrix that
+all players share, built in one buffer per solve), and the next sweep
+starts from those values and reads the same operator.  A proposal whose
+sweep does not lower the Bellman residual is rejected: the driver resumes
+from the sweep that made it, at the same policy and operator, and takes
+1, 2, 4, ... plain value-iteration steps before the next proposal.
 
 Successor states are clamped to the state box before interpolation; the
 solver warns when more than 1% of a sweep's policy successor components
@@ -53,6 +53,7 @@ import functools
 import time
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,43 +130,47 @@ class EquilibriumResult:
 
 
 # ---------------------------------------------------------------------------
-# per-player constants
+# per-solve constants
 # ---------------------------------------------------------------------------
 
-class _PlayerWork:
-    """Per-player constants: own control nodes, fit matrix and stage table."""
+class _OwnSamples(NamedTuple):
+    """Player d's own-control samples at every node, fixed for a solve.
 
-    __slots__ = ("K", "u_nodes", "M0", "stage")
+    Outside [lo, lo + 2 half] (N_P,) of the own control the own successor
+    coordinate is clamped.  `rows` (N_P, K, s_d) are its cardinal rows at
+    the K = max(2, Np_d) + 1 Chebyshev points of that interval, and `stage`
+    (N_P, K) is h times the stage gain there.  At the nodes `beyond`, A_d
+    lies outside the interval; the objective at A_d is the sample at the
+    nearer end (flat index `at_end` into (N_P, K)) plus `gain`.
+    """
 
-    def __init__(self, spec: GameSpec, grid: StateGrid, i: int, u_nodes: np.ndarray,
-                 M0: np.ndarray):
-        self.K = u_nodes.size
-        self.u_nodes = u_nodes
-        self.M0 = M0
-        self.stage = spec.h * _stage_gain(spec, i, grid.nodes[:, i, None], self.u_nodes)
+    lo: np.ndarray
+    half: np.ndarray
+    rows: np.ndarray
+    stage: np.ndarray
+    beyond: np.ndarray
+    at_end: np.ndarray
+    gain: np.ndarray
 
 
 class _Workspace:
-    __slots__ = ("spec", "grid", "u_scale", "p_scale", "players", "transforms", "groups",
-                 "buffer", "own", "clamped", "union")
+    __slots__ = ("spec", "grid", "p_scale", "fits", "transforms", "groups", "buffer", "own")
 
     def __init__(self, spec: GameSpec, grid: StateGrid):
         self.spec = spec
         self.grid = grid
-        self.u_scale = 2.0 / spec.U_max
         self.p_scale = 2.0 / spec.P_max
         # One samples -> coefficients matrix per distinct degree, shared by
-        # the control fits and the state axes, and one set of control nodes
-        # per distinct control degree.
-        Nu = spec.Nu.tolist()
-        matrices = {d: _transform_matrix(d) for d in {*spec.Np.tolist(), *Nu}}
-        nodes = {d: make_basis(d, 0.0, spec.U_max).nodes for d in set(Nu)}
-        self.players = [_PlayerWork(spec, grid, i, nodes[d], matrices[d]) for i, d in enumerate(Nu)]
+        # the own-control fits, of degree max(2, Np_i), and the state axes.
+        degrees = spec.Nu.tolist()
+        matrices = {d: _transform_matrix(d) for d in {*spec.Np.tolist(), *degrees}}
+        self.fits = [matrices[d] for d in degrees]
         self.transforms = [matrices[int(d)] for d in spec.Np]
-        # The players of each distinct control degree, maximised in one block.
-        self.groups = [[i for i, e in enumerate(Nu) if e == d] for d in dict.fromkeys(Nu)]
+        # The players of each distinct fit degree, maximised in one block.
+        self.groups = [[i for i, e in enumerate(degrees) if e == d]
+                       for d in dict.fromkeys(degrees)]
         # Built at first use, by :func:`_buffer` and :func:`_own_rows`.
-        self.buffer = self.own = self.clamped = self.union = None
+        self.buffer = self.own = None
 
 
 # ---------------------------------------------------------------------------
@@ -374,29 +379,42 @@ def _buffer(ws: _Workspace) -> np.ndarray:
     return ws.buffer
 
 
-def _own_rows(ws: _Workspace) -> list[np.ndarray]:
-    """Rows (N_P, K_d, s_d) of coordinate d at player d's control nodes, for every d.
+def _own_rows(ws: _Workspace) -> list[_OwnSamples]:
+    """Every player's own-control samples (:class:`_OwnSamples`), built once per solve.
 
-    Coordinate d moves with player d's control only, so over its fixed
-    control nodes these rows are the same for every policy.  The same
-    holds for the nodes where one of those successors clamps: they are
-    recorded per player in `ws.clamped`, and their sorted union in
-    `ws.union`.  All are built at their first use, outside the timed
-    set-up of :func:`solve`.
+    Coordinate d of the successor, p_d + h (g_d(p, 0) + beta_d u), is
+    affine in player d's control u: it lies in [0, P_max] on one interval
+    [lo, hi] of [0, U_max] (all of it when beta_d = 0, one end when it is
+    clamped at every control) and is clamped to a constant on the rest.
+    The interval depends on the node alone, so the samples are built at
+    their first use, outside the timed set-up of :func:`solve`.
     """
     if ws.own is None:
         spec, nodes = ws.spec, ws.grid.nodes
-        still = _drift(spec, nodes, np.zeros_like(nodes))
-        coords, clamps = [], []
-        for d, pw in enumerate(ws.players):
-            mine = nodes[:, d, None] + spec.h * (still[:, d, None] + spec.beta[d] * pw.u_nodes)
-            inside = np.clip(mine, 0.0, spec.P_max)
-            clamps.append(np.any(inside != mine, axis=1))
-            coords.append(inside.ravel() * ws.p_scale - 1.0)
-        rows = _cardinal_rows(ws, coords)
-        ws.own = [r.reshape(len(nodes), pw.K, -1) for r, pw in zip(rows, ws.players)]
-        ws.clamped = [np.flatnonzero(c) for c in clamps]
-        ws.union = np.flatnonzero(np.any(clamps, axis=0))
+        drift = _drift(spec, nodes, np.zeros_like(nodes))
+        slope = spec.h * spec.beta
+        still = nodes + spec.h * drift                              # successors at u = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends = (np.array([0.0, spec.P_max]) - still[:, :, None]) / slope[:, None]
+        lo, hi = np.where(slope[:, None] == 0.0, [0.0, spec.U_max],
+                          np.clip(np.sort(ends, axis=2), 0.0, spec.U_max)).T   # (J, N_P) each
+        own = []
+        for d, (M, T) in enumerate(zip(ws.fits, ws.transforms)):
+            K, A = M.shape[0], spec.A[d]
+            half = 0.5 * (hi[d] - lo[d])
+            u = lo[d, :, None] + (make_basis(K - 1, -1.0, 1.0).nodes + 1.0) * half[:, None]
+            mine = nodes[:, d, None] + spec.h * (drift[:, d, None] + spec.beta[d] * u)
+            x = np.clip(mine, 0.0, spec.P_max).ravel() * ws.p_scale - 1.0
+            # On a clamped piece the objective is the stage gain plus the
+            # sample at the interval's end, so its best point is A_d.
+            end = np.clip(A, lo[d], hi[d])
+            beyond = np.flatnonzero(end != A)
+            own.append(_OwnSamples(
+                lo[d], half, (_row_basis(x, T.shape[0]) @ T).reshape(len(nodes), K, -1),
+                spec.h * _stage_gain(spec, d, nodes[:, d, None], u), beyond,
+                beyond * K + np.where(A < lo[d, beyond], K - 1, 0),
+                (0.5 * spec.delta * spec.h) * (A - end[beyond]) ** 2))
+        ws.own = own
     return ws.own
 
 
@@ -421,28 +439,36 @@ def _run_sweep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best responses (controls, values), each (J, N_P), at the policy of operator `shared`.
 
-    Each player's objective is contracted and fitted on its own; the fitted
-    rows of all players that share a control degree are then maximised in
-    one block, since each row's result depends on that row alone.
+    Each player's objective is sampled on its unclamped interval and
+    fitted on its own; the fitted rows of all players that share a fit
+    degree are then maximised in one block, since each row's result
+    depends on that row alone.  Where A_i lies beyond the interval, the
+    clamped piece on that side competes with its best point, A_i.
     """
     spec = ws.spec
-    coefs = []
-    for i, (pw, own) in enumerate(zip(ws.players, _own_rows(ws))):
-        # Discounted objective at the player's control nodes: the other
-        # axes bound once per node, then the own axis once per control.
+    owns = _own_rows(ws)
+    pieces, coefs = [], []
+    for i, (M, own) in enumerate(zip(ws.fits, owns)):
+        # Discounted objective at the player's samples: the other axes bound
+        # once per node, then the own axis once per sample.
         tensor = np.moveaxis(node_values[i].reshape(ws.grid.shape, order="F"), i, -1)
         card = _kron_rows(shared[:i] + shared[i + 1:], _buffer(ws))
-        partial = np.ascontiguousarray(card.T) @ tensor.reshape(-1, own.shape[2], order="F")
-        objective = spec.delta * (pw.stage + np.einsum("nka,na->nk", own, partial))
+        partial = np.ascontiguousarray(card.T) @ tensor.reshape(-1, own.rows.shape[2], order="F")
+        objective = spec.delta * (own.stage + np.einsum("nka,na->nk", own.rows, partial))
         if not np.all(np.isfinite(objective)):
             raise FloatingPointError("non-finite objective sample in sweep")
-        # Fit in the own control.
-        coefs.append(np.matmul(pw.M0, objective[:, :, None])[:, :, 0])
+        pieces.append(objective.ravel()[own.at_end] + own.gain)
+        coefs.append(np.matmul(M, objective[:, :, None])[:, :, 0])
     u_best, v_best = np.empty((2, spec.J, ws.grid.n_nodes))
     for group in ws.groups:
         x, v = _maximise_block(np.concatenate([coefs[i] for i in group]))
-        u_best[group] = ((x + 1.0) * (0.5 * spec.U_max)).reshape(len(group), -1)
+        u_best[group] = x.reshape(len(group), -1)
         v_best[group] = v.reshape(len(group), -1)
+    for i, (own, piece) in enumerate(zip(owns, pieces)):
+        u_best[i] = own.lo + (u_best[i] + 1.0) * own.half
+        wins = piece > v_best[i, own.beyond]
+        u_best[i, own.beyond[wins]] = spec.A[i]
+        v_best[i, own.beyond[wins]] = piece[wins]
     return u_best, v_best
 
 
@@ -456,57 +482,25 @@ def _evaluate_policy(
     """Node values (J, N_P) of the fixed point of the sweep at a fixed policy.
 
     With every player's control held at `policy_values`, whose successor
-    operator is `shared`, the sweep's value at node n is the fitted objective
-    at the own control, delta * sum_k w_k (stage_k + V_i(successor_k)),
-    where w holds the control-interpolation weights of that control.  The
-    successor value is linear in the node values through the cardinal
-    rows, and only the own-axis rows C_i (:func:`_own_rows`) depend on k,
-    so E_i is the row-wise Kronecker product of the operator's rows with
-    the own-axis row sum_k w_k C_i[n, k, :], and the fixed point solves
-    (I - delta E_i) V_i = delta sum_k w_k stage_k.
-
-    The own successor is affine in the own control, and the control degree
-    is at least Np_i, so the averaged row is the cardinal row at the
-    policy's own successor, the operator's row, except at the nodes
-    S_i (`ws.clamped`) where an own successor clamps at a control node.
-    So I - delta E_i = A + P_i U_i, with A = I - delta E built from the
-    operator's rows alone, P_i the unit columns of S_i and
-    U_i = -delta (E_i - E)[S_i, :], the row-wise Kronecker product at S_i
-    with the own row replaced by the averaged row minus the operator's.
-    One LU of A, built transposed in the workspace's buffer (the matrix
-    in the Fortran order LAPACK reads), solves for every player's
-    right-hand side y_i and for the unit columns Z of the union of the
-    S_i, and the Sherman-Morrison-Woodbury identity (Hager 1989) gives
-    V_i = y_i - Z_i (I + U_i Z_i)^-1 U_i y_i.  Raises LinAlgError when A
-    or a correction system is singular.
+    operator is `shared`, the sweep's value at node n is player i's exact
+    objective there, delta (h G_i(p_i, u_i) + V_i(successor)).  The
+    successor value is linear in the node values through the operator's
+    rows, the same for every player, so E, their row-wise Kronecker
+    product, gives each player's fixed point as
+    (I - delta E) V_i = delta h G_i(p_i, u_i).  One LU of I - delta E,
+    built transposed in the workspace's buffer (the matrix in the Fortran
+    order LAPACK reads), takes all J right-hand sides.  Raises
+    LinAlgError when I - delta E is singular.
     """
     spec = ws.spec
-    n, J = ws.grid.n_nodes, spec.J
-    owns, union = _own_rows(ws), ws.union
-    weights = [_row_basis(u * ws.u_scale - 1.0, pw.K) @ pw.M0
-               for u, pw in zip(policy_values, ws.players)]                # (n, K) each
-    rhs = np.zeros((J + len(union), n))
-    for i, (w, pw) in enumerate(zip(weights, ws.players)):
-        rhs[i] = spec.delta * np.einsum("nk,nk->n", w, pw.stage)
-    rhs[np.arange(J, J + len(union)), union] = 1.0
+    nodes = ws.grid.nodes
+    rhs = [spec.delta * spec.h * _stage_gain(spec, i, nodes[:, i], u)
+           for i, u in enumerate(policy_values)]
     # (I - delta E)^T, built in place.
     At = _kron_rows(shared, _buffer(ws))
     At *= -spec.delta
-    At.flat[:: n + 1] += 1.0
-    solution = np.linalg.solve(At.T, rhs.T)
-    out = np.ascontiguousarray(solution[:, :J].T)
-    for i, (w, own, rows) in enumerate(zip(weights, owns, ws.clamped)):
-        if not rows.size:
-            continue
-        diff = -spec.delta * (np.einsum("nk,nka->an", w[rows], own[rows]) - shared[i][:, rows])
-        # U_i^T, built in the buffer, which the solve above has left free.
-        Ut = _kron_rows([r[:, rows] for r in shared[:i]] + [diff]
-                        + [r[:, rows] for r in shared[i + 1:]], ws.buffer)
-        Z = solution[:, J + np.searchsorted(union, rows)]
-        small = Ut.T @ Z
-        small.flat[:: rows.size + 1] += 1.0
-        out[i] -= Z @ np.linalg.solve(small, Ut.T @ out[i])
-    return out
+    At.flat[:: ws.grid.n_nodes + 1] += 1.0
+    return np.ascontiguousarray(np.linalg.solve(At.T, np.stack(rhs, axis=1)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +527,17 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
 
     Each pass runs one best-response sweep from the current (values,
     policy) pair; its residual r = sup |T v - v| is one `history` row.
-    When max r <= tol * (1 - delta) the sweep's input pair is returned, so
-    its values lie within about tol of the collocation fixed point.  Otherwise
-    the sweep's policy is evaluated exactly and the next sweep starts from
-    the evaluated values.  The proposal is kept if that sweep's residual
-    is below r; if not, the driver resumes from the earlier sweep's output
-    and takes 1, 2, 4, ... value-iteration steps (the wait doubles after
-    every rejection) before proposing again.
+    When max r <= tol * (1 - delta) the sweep's input pair is returned:
+    one more sweep moves no value by more than tol * (1 - delta).  That
+    is not a bound of about tol on the distance to the fixed point: the
+    residual is quadratic in a policy gap, so the policies can still lie
+    about sqrt(rho * tol) from it, and each player's value moves with the
+    others' policies.  Otherwise the sweep's policy is evaluated
+    exactly and the next sweep starts from the evaluated values.  The
+    proposal is kept if that sweep's residual is below r; if not, the
+    driver resumes from the earlier sweep's output and takes 1, 2, 4, ...
+    value-iteration steps (the wait doubles after every rejection) before
+    proposing again.
 
     Parameters
     ----------

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import pytest
 
-from chebnash.cheb1d import clenshaw, derivative_array, make_basis, to_reference
+from chebnash.cheb1d import _transform_matrix, clenshaw, derivative_array, make_basis, to_reference
 from chebnash.chebnd import CoefTensor, _row_basis, basis_matrix, eval_full, tensor_coeffs
 from chebnash.game import GameSpec, build_state_grid, discounted_payoff, dynamics
 from chebnash.oracle import LQFeedback, _lq_feedback, lq_solve
@@ -20,7 +20,6 @@ from chebnash.solver import (
     _derivative_stack,
     _evaluate_policy,
     _maximise_block,
-    _own_rows,
     _run_sweep,
     _successor_operator,
     _Workspace,
@@ -312,35 +311,55 @@ def test_value_field_interpolants_reproduce_node_values():
         np.testing.assert_allclose(got, result.values.values[i], rtol=1e-10, atol=1e-12)
 
 
-def _successor_controls(policy_values, i, u_nodes):
-    """(N_P, K, J) controls: player i at its control nodes, the rest at their policy."""
-    u = np.repeat(policy_values.T[:, None, :], u_nodes.size, axis=1)
-    u[:, :, i] = u_nodes
-    return u
-
-
-def _pointwise_successor_values(spec, grid, i, node_values, policy_values, u_nodes):
-    """(N_P, K) interpolant of node_values at player i's successors, point by point."""
+def _successors(spec, grid, i, policy_values, own):
+    """(N_P, K, J) clamped Euler successors of every node, player i at its (N_P, K)
+    own controls and the rest at their policy."""
+    controls = np.repeat(policy_values.T[:, None, :], own.shape[1], axis=1)
+    controls[:, :, i] = own
     nodes = grid.nodes[:, None, :]
-    controls = _successor_controls(policy_values, i, u_nodes)
-    nxt = np.clip(nodes + spec.h * dynamics(spec, nodes, controls), 0.0, spec.P_max)
+    return np.clip(nodes + spec.h * dynamics(spec, nodes, controls), 0.0, spec.P_max)
+
+
+def _gain(spec, i, p_i, u_i):
+    """Player i's stage gain u (A_i - u/2) - (phi_i/2) p^2."""
+    return u_i * (spec.A[i] - 0.5 * u_i) - 0.5 * spec.phi[i] * p_i**2
+
+
+def _pointwise_successor_values(spec, grid, i, node_values, policy_values, own):
+    """(N_P, K) interpolant of node_values at player i's successors, point by point."""
     tensor = tensor_coeffs(node_values.reshape(grid.shape, order="F"), grid.bases)
-    refs = 2.0 * nxt / spec.P_max - 1.0
+    refs = 2.0 * _successors(spec, grid, i, policy_values, own) / spec.P_max - 1.0
     return np.array([[eval_full(tensor, r) for r in node] for node in refs])
+
+
+def _exact_objective(spec, grid, i, node_values, policy_values, own):
+    """(N_P, K) objective delta (h G_i + V_i(successor)) at player i's own controls.
+
+    The interpolant is evaluated axis by axis at all successors at once.
+    """
+    coef = tensor_coeffs(node_values.reshape(grid.shape, order="F"), grid.bases).coefficients
+    refs = (2.0 * _successors(spec, grid, i, policy_values, own) / spec.P_max - 1.0)
+    refs = refs.reshape(-1, spec.J)
+    r = basis_matrix(refs[:, 0], coef.shape[0] - 1) @ coef.reshape(coef.shape[0], -1)
+    for d in range(1, spec.J):
+        B = basis_matrix(refs[:, d], coef.shape[d] - 1)
+        r = np.einsum("pk,pkr->pr", B, r.reshape(len(refs), coef.shape[d], -1))
+    gain = _gain(spec, i, grid.nodes[:, i, None], own)
+    return spec.delta * (spec.h * gain + r[:, 0].reshape(own.shape))
 
 
 def test_policy_evaluation_is_the_sweeps_fixed_point_at_that_policy():
     # Distinct per-axis degrees, so a slip in the axis order or in the
-    # Fortran order of the node values changes the answer.
+    # Fortran order of the node values changes the answer.  At a fixed
+    # policy the sweep's value is the exact objective at that policy.
     spec = preset_spec("example3", Np=(2, 3, 4))
     grid = build_state_grid(spec)
     ws = _Workspace(spec, grid)
     u = np.random.default_rng(5).uniform(0.0, spec.U_max, (spec.J, grid.n_nodes))
     V = _evaluate_policy(ws, _successor_operator(ws, u)[0], u)
-    for i, pw in enumerate(ws.players):
-        succ = _pointwise_successor_values(spec, grid, i, V[i], u, pw.u_nodes)
-        w = basis_matrix(u[i] * ws.u_scale - 1.0, pw.K - 1) @ pw.M0
-        swept = spec.delta * np.einsum("nk,nk->n", w, pw.stage + succ)
+    for i in range(spec.J):
+        succ = _pointwise_successor_values(spec, grid, i, V[i], u, u[i, :, None])[:, 0]
+        swept = spec.delta * (spec.h * _gain(spec, i, grid.nodes[:, i], u[i]) + succ)
         np.testing.assert_allclose(swept, V[i], rtol=0, atol=1e-10)
 
 
@@ -352,19 +371,20 @@ def _cardinal_matrix(rows):
     return card
 
 
-def _c_order_evaluation(ws, shared, policy):
-    """Exact evaluation with each player's own I - delta E_i built as a fresh C-order matrix."""
-    spec, n = ws.spec, ws.grid.n_nodes
-    owns = _own_rows(ws)
+def _c_order_evaluation(spec, grid, policy):
+    """Exact evaluation with each player's own I - delta E_i built as a fresh C-order matrix
+    from the successors of the policy."""
+    n = grid.n_nodes
     out = np.empty((spec.J, n))
-    for i, (pw, own) in enumerate(zip(ws.players, owns)):
-        w = _row_basis(policy[i] * ws.u_scale - 1.0, pw.K) @ pw.M0
-        rows = [r.T for r in shared]
-        rows[i] = np.einsum("nk,nka->na", w, own)
+    for i in range(spec.J):
+        refs = 2.0 * _successors(spec, grid, i, policy, policy[i, :, None])[:, 0] / spec.P_max - 1.0
+        rows = [basis_matrix(refs[:, d], b.degree) @ _transform_matrix(b.degree)
+                for d, b in enumerate(grid.bases)]
         A = _cardinal_matrix(rows)
         A *= -spec.delta
         A.flat[:: n + 1] += 1.0
-        out[i] = np.linalg.solve(A, spec.delta * np.einsum("nk,nk->n", w, pw.stage))
+        gain = _gain(spec, i, grid.nodes[:, i], policy[i])
+        out[i] = np.linalg.solve(A, spec.delta * spec.h * gain)
     return out
 
 
@@ -378,7 +398,7 @@ EVALUATED = {
     "example4": preset_spec("example4", h=1e-2),
     "chain5": CHAIN5,
 }
-# No own successor clamps at a control node on this grid (ex1-bound's).
+# No own successor can clamp on this grid (ex1-bound's).
 UNCLAMPED = preset_spec("example1", Np=8, P_max=1.2, h=1e-2)
 
 
@@ -392,35 +412,10 @@ def _operator_at_random_policy(spec, seed):
 @pytest.mark.parametrize("spec", [*EVALUATED.values(), UNCLAMPED],
                          ids=[*EVALUATED, "example1-unclamped"])
 def test_evaluation_matches_the_per_player_dense_reference(spec):
-    # One LU of the shared matrix and a low-rank correction per player at
-    # its clamped nodes give each player's own system's solution.
+    # One LU of the shared matrix gives each player's own system's solution.
     ws, ops, u = _operator_at_random_policy(spec, 7)
-    np.testing.assert_allclose(_evaluate_policy(ws, ops, u), _c_order_evaluation(ws, ops, u),
+    np.testing.assert_allclose(_evaluate_policy(ws, ops, u), _c_order_evaluation(spec, ws.grid, u),
                                rtol=0, atol=1e-10)
-
-
-@pytest.mark.parametrize("spec", [EVALUATED["example3"], EVALUATED["example4"], CHAIN5],
-                         ids=["example3", "example4", "chain5"])
-def test_averaged_own_row_is_the_operators_row_off_the_clamped_nodes(spec):
-    # The own successor is affine in the own control and the control degree
-    # is at least Np_i, so averaging the own rows over the control nodes
-    # reproduces the row at the policy's own successor wherever no control
-    # node's own successor clamps.
-    ws, ops, u = _operator_at_random_policy(spec, 19)
-    owns = _own_rows(ws)
-    for i, (pw, own, rows) in enumerate(zip(ws.players, owns, ws.clamped)):
-        w = _row_basis(u[i] * ws.u_scale - 1.0, pw.K) @ pw.M0
-        free = np.setdiff1d(np.arange(ws.grid.n_nodes), rows)
-        np.testing.assert_allclose(np.einsum("nk,nka->na", w[free], own[free]), ops[i].T[free],
-                                   rtol=0, atol=1e-13)
-    assert np.array_equal(ws.union, np.unique(np.concatenate(ws.clamped)))
-
-
-def test_no_clamped_nodes_on_the_bound_grid():
-    ws = _Workspace(UNCLAMPED, build_state_grid(UNCLAMPED))
-    _own_rows(ws)
-    assert all(rows.size == 0 for rows in ws.clamped)
-    assert ws.union.size == 0
 
 
 @pytest.mark.parametrize("spec", EVALUATED.values(), ids=EVALUATED.keys())
@@ -431,15 +426,13 @@ def test_one_node_by_node_solve_per_evaluation(spec, monkeypatch):
     solve_ = np.linalg.solve
 
     def counted(a, b):
-        shapes.append(np.shape(a))
+        shapes.append((np.shape(a), np.shape(b)))
         return solve_(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     _evaluate_policy(ws, ops, u)
-    assert shapes.count((n, n)) == 1
-    # Every other solve is a player's correction system, one per player
-    # with clamped nodes.
-    assert sorted(shapes[1:]) == sorted((r.size, r.size) for r in ws.clamped if r.size)
+    # One N_P x N_P solve with one right-hand side per player, and no other.
+    assert shapes == [((n, n), (n, spec.J))]
 
 
 def test_evaluation_buffer_carries_no_state_between_calls():
@@ -461,8 +454,8 @@ def test_evaluation_buffer_carries_no_state_between_calls():
 
 
 def test_own_rows_are_built_once_outside_the_set_up():
-    # They depend on the control nodes only, so every operator of a solve
-    # reads the same rows; the workspace leaves them to the first sweep.
+    # They depend on the node only, so every operator of a solve reads the
+    # same rows; the workspace leaves them to the first sweep.
     spec = preset_spec("example3", Np=(2, 3, 4), h=1e-2)
     ws, ops, u = _operator_at_random_policy(spec, 12)
     assert ws.own is None
@@ -493,19 +486,23 @@ def test_second_evaluation_allocates_no_node_by_node_array():
 
 def test_sweep_values_match_pointwise_successor_evaluation():
     # The sweep binds the other players' axes once per node; here every
-    # successor is evaluated on its own, on a grid of distinct degrees.
+    # successor is evaluated on its own, on a grid of distinct degrees.  The
+    # sweep's value is the exact objective at its control, and no control of
+    # a dense grid does better.
     spec = preset_spec("example3", Np=(2, 3, 4))
     grid = build_state_grid(spec)
-    ws = _Workspace(spec, grid)
     rng = np.random.default_rng(11)
     v = rng.standard_normal((spec.J, grid.n_nodes))
     u = rng.uniform(0.0, spec.U_max, (spec.J, grid.n_nodes))
-    swept, _ = _sweep(spec, grid, v, u)
-    for i, pw in enumerate(ws.players):
-        succ = _pointwise_successor_values(spec, grid, i, v[i], u, pw.u_nodes)
-        objective = spec.delta * (pw.stage + succ)
-        _, best = _maximise_block(objective @ pw.M0.T)
-        np.testing.assert_allclose(swept[i], best, rtol=0, atol=1e-10)
+    swept, u_new = _sweep(spec, grid, v, u)
+    dense = np.broadcast_to(np.linspace(0.0, spec.U_max, 2001), (grid.n_nodes, 2001))
+    for i in range(spec.J):
+        succ = _pointwise_successor_values(spec, grid, i, v[i], u, u_new[i, :, None])[:, 0]
+        gain = _gain(spec, i, grid.nodes[:, i], u_new[i])
+        np.testing.assert_allclose(swept[i], spec.delta * (spec.h * gain + succ),
+                                   rtol=0, atol=1e-10)
+        scan = _exact_objective(spec, grid, i, v[i], u, dense).max(axis=1)
+        assert np.all(swept[i] >= scan - 1e-10)
 
 
 MIXED_DEGREES = {
@@ -514,25 +511,48 @@ MIXED_DEGREES = {
 }
 
 
+def _unclamped_interval(spec, nodes, i):
+    """Per node, the interval [lo, hi] of player i's control on which its own
+    successor coordinate p_i + h (g_i(p, 0) + beta_i u) stays in [0, P_max]."""
+    if spec.beta[i] == 0.0:
+        return np.zeros(len(nodes)), np.full(len(nodes), spec.U_max)
+    still = nodes[:, i] + spec.h * dynamics(spec, nodes, np.zeros_like(nodes))[:, i]
+    ends = (np.array([0.0, spec.P_max]) - still[:, None]) / (spec.h * spec.beta[i])
+    lo, hi = np.clip(np.sort(ends, axis=1), 0.0, spec.U_max).T
+    return lo, hi
+
+
 def _player_by_player_sweep(ws, values, policy):
     """Best responses and clamp count with one successor operator and one maximiser block per player."""
     spec, grid = ws.spec, ws.grid
-    nodes = grid.nodes[:, None, :]
     u_best, v_best = np.empty((2, spec.J, grid.n_nodes))
-    for i, pw in enumerate(ws.players):
-        controls = _successor_controls(policy, i, pw.u_nodes)
-        nxt = nodes + spec.h * dynamics(spec, nodes, controls)      # (N_P, K, J)
-        clipped = np.clip(nxt, 0.0, spec.P_max)
-        ref = clipped * ws.p_scale - 1.0
+    for i in range(spec.J):
+        degree = max(2, int(spec.Np[i]))
+        lo, hi = _unclamped_interval(spec, grid.nodes, i)
+        x = make_basis(degree, -1.0, 1.0).nodes
+        own = lo[:, None] + (x + 1.0) * (0.5 * (hi - lo))[:, None]          # (N_P, K)
+        ref = _successors(spec, grid, i, policy, own) * ws.p_scale - 1.0    # (N_P, K, J)
         rows = [_row_basis(ref[:, 0, d], M.shape[0]) @ M for d, M in enumerate(ws.transforms)]
         M = ws.transforms[i]
-        own = (_row_basis(ref[:, :, i].ravel(), M.shape[0]) @ M).reshape(grid.n_nodes, pw.K, -1)
+        own_rows = (_row_basis(ref[:, :, i].ravel(), M.shape[0]) @ M).reshape(
+            grid.n_nodes, degree + 1, -1)
         tensor = np.moveaxis(values[i].reshape(grid.shape, order="F"), i, -1)
         partial = _cardinal_matrix(rows[:i] + rows[i + 1:]) @ tensor.reshape(
-            -1, own.shape[2], order="F")
-        objective = spec.delta * (pw.stage + np.einsum("nka,na->nk", own, partial))
-        x, v_best[i] = _maximise_block(np.matmul(pw.M0, objective[:, :, None])[:, :, 0])
-        u_best[i] = (x + 1.0) * (0.5 * spec.U_max)
+            -1, own_rows.shape[2], order="F")
+        stage = spec.h * _gain(spec, i, grid.nodes[:, i, None], own)
+        objective = spec.delta * (stage + np.einsum("nka,na->nk", own_rows, partial))
+        fit = np.matmul(_transform_matrix(degree), objective[:, :, None])[:, :, 0]
+        x, v_best[i] = _maximise_block(fit)
+        u_best[i] = lo + (x + 1.0) * (0.5 * (hi - lo))
+        # Beyond the interval the own successor is clamped, so the objective
+        # is the stage gain plus its value at the interval's end.
+        A = spec.A[i]
+        end = np.clip(A, lo, hi)
+        piece = np.where(A < lo, objective[:, -1], objective[:, 0])
+        piece += (0.5 * spec.delta * spec.h) * (A - end) ** 2
+        better = (end != A) & (piece > v_best[i])
+        u_best[i, better] = A
+        v_best[i, better] = piece[better]
     # The clamp count runs over the components of the policy's successors.
     nxt = grid.nodes + spec.h * dynamics(spec, grid.nodes, policy.T)
     return u_best, v_best, np.count_nonzero(np.clip(nxt, 0.0, spec.P_max) != nxt)
@@ -661,7 +681,7 @@ def test_fallback_keeps_policy_iteration_symmetric():
 
 
 def test_lq_start_needs_no_fallback():
-    # From the myopic start this spec takes 85 sweeps, 15 evaluations and
+    # From the myopic start this spec takes 86 sweeps, 16 evaluations and
     # 6 rejected proposals.
     spec = preset_spec("example1", Np=8, h=1e-2)
     result = solve_quiet(spec)
@@ -708,15 +728,17 @@ def test_fallback_wait_grows_across_accepted_proposals():
     assert result.converged
 
 
-# The LQ start's iteration rejects proposals on this spec, so it runs the
-# revert path: 86 sweeps, 16 evaluations and 6 rejected proposals.
+# From the LQ start this spec stops after one sweep; from the myopic start
+# the iteration rejects proposals, so it runs the revert path: 18 sweeps,
+# 7 evaluations and 3 rejected proposals.
 REJECTING = dict(rho=0.5, h=0.01, tol=1e-4, Np=2)
 
 
 def test_rejecting_spec_keeps_its_counts():
-    result = solve_quiet(preset_spec("example1", **REJECTING))
+    spec = preset_spec("example1", **REJECTING)
+    result = solve_quiet(spec, init=myopic_start(spec))
     assert result.converged
-    assert (result.iterations, result.evaluations, result.rejected) == (86, 16, 6)
+    assert (result.iterations, result.evaluations, result.rejected) == (18, 7, 3)
 
 
 @pytest.mark.parametrize("spec, rejects", [
@@ -724,7 +746,7 @@ def test_rejecting_spec_keeps_its_counts():
     (preset_spec("example1", **REJECTING), True),
 ], ids=["fast", "rejecting"])
 def test_converged_result_is_a_fixed_point_to_tolerance(spec, rejects):
-    result = solve_quiet(spec)
+    result = solve_quiet(spec, init=myopic_start(spec) if rejects else None)
     assert result.converged
     if rejects:
         assert result.rejected >= 1
@@ -733,6 +755,41 @@ def test_converged_result_is_a_fixed_point_to_tolerance(spec, rejects):
     moved = np.max(np.abs(values - result.values.values))
     assert moved <= spec.tol * (1.0 - spec.delta)
     assert moved == result.history[-1].max()
+
+
+# Each spec's converged answer, from either start, must be a fixed point of
+# the discrete game, not only of the solver's own sweep.
+FIXED_POINT_SPECS = {
+    "example1": preset_spec("example1", h=1e-2),
+    "example3": preset_spec("example3", h=1e-2),
+    "example4": preset_spec("example4", h=1e-2),
+    "fallback": preset_spec("example1", rho=0.5, h=5e-3, tol=1e-7, Np=2, max_iters=2000),
+    "rejecting": preset_spec("example1", **REJECTING),
+    "ex1-bound": preset_spec("example1", Np=8, P_max=1.2, h=1e-2, tol=1e-5),
+    # A control that lowers the own stock, and one that leaves it alone.
+    "signed-beta": preset_spec("example1", Np=4, h=1e-2, beta=[-1.0, 1.0], P_max=0.3),
+    "zero-beta": preset_spec("example1", Np=4, h=1e-2, beta=[1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("start", ["lq", "myopic"])
+@pytest.mark.parametrize("name", FIXED_POINT_SPECS)
+def test_converged_answer_is_a_fixed_point_of_the_discrete_game(name, start):
+    # Each player's own control runs over a dense grid of [0, U_max] and the
+    # returned control, the others held at theirs; the successors are the
+    # clamped Euler steps, and the objective is the exact one.
+    spec = FIXED_POINT_SPECS[name]
+    result = solve_quiet(spec, init=myopic_start(spec) if start == "myopic" else None)
+    assert result.converged
+    grid = build_state_grid(spec)
+    v, u = result.values.values, result.policy.values
+    dense = np.broadcast_to(np.linspace(0.0, spec.U_max, 401), (grid.n_nodes, 401))
+    worst = 0.0
+    for i in range(spec.J):
+        own = np.concatenate([dense, u[i, :, None]], axis=1)
+        best = _exact_objective(spec, grid, i, v[i], u, own).max(axis=1)
+        worst = max(worst, float(np.max(np.abs(best - v[i]))))
+    assert worst <= spec.tol * (1.0 - spec.delta)
 
 
 def test_policy_feasible_within_box():
@@ -782,6 +839,17 @@ def test_clamp_warning_when_box_too_small():
         solve(spec)
 
 
+def test_clamp_heavy_game_reports_non_convergence():
+    # The policy's successors clamp at 2.2% of their components, and the
+    # iteration does not settle: it is reported as not converged, with the
+    # warning, rather than stopped early at a point that is no fixed point.
+    spec = preset_spec("example4", Np=2, rho=0.5, h=0.01, tol=1e-4, max_iters=30)
+    with pytest.warns(RuntimeWarning, match="2.2% of successor-state components clamped"):
+        result = solve(spec)
+    assert result.converged is False
+    assert result.iterations == 30
+
+
 def test_no_clamps_when_no_successor_leaves_the_box():
     # With P_max = 50 every Euler successor of a node stays inside the box,
     # so a clamp could only come from rounding in the drift.
@@ -810,8 +878,8 @@ def test_clamp_fraction_counts_every_successor_component():
 
 
 def test_no_clamp_warning_when_the_policy_stays_in_the_box():
-    # The control nodes' successors leave the box here, but the solved
-    # policy's do not: neither warns.
+    # Some own controls in [0, U_max] send the successor out of the box
+    # here, but the solved policy's successors stay in: no warning.
     spec = preset_spec("example1", Np=2, h=1e-2, tol=1e-6)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
