@@ -1,17 +1,18 @@
 """Tensorized Chebyshev collocation solver for discrete-space pollution games.
 
 The package computes Markov-perfect (feedback) Nash equilibria of a
-J-player linear-quadratic pollution game by safeguarded policy iteration
-on a tensor-product Chebyshev collocation grid.  Each sweep evaluates the
-affine drift in closed form and every player's value interpolant at all
-successor states of all nodes in one batched contraction, and maximises
-each player's exact objective in its own control: a polynomial fit,
-exact on the interval where the own successor stays in the state box,
-against the best point of the clamped rest.  Between sweeps the current
-joint policy is evaluated exactly: one dense LU of the matrix all
-players share, with one right-hand side per player.  The iteration starts from the
-equilibrium of the unconstrained linear-quadratic game, computed exactly
-in coefficient space; where its feedback stays inside the control box it
+J-player linear-quadratic pollution game by Anderson-mixed policy
+iteration on a tensor-product Chebyshev collocation grid.  Each sweep
+evaluates the affine drift in closed form and every player's value
+interpolant at all successor states of all nodes in one batched
+contraction, and maximises each player's exact objective in its own
+control: a polynomial fit, exact on the interval where the own successor
+stays in the state box, against the best point of the clamped rest.
+Between sweeps an Anderson mix of the latest best responses is evaluated
+exactly: one dense LU of the matrix all players share, with one
+right-hand side per player.  The iteration starts from the equilibrium
+of the unconstrained linear-quadratic game, computed exactly in
+coefficient space; where its feedback stays inside the control box it
 also serves as an exact oracle.
 """
 

@@ -49,7 +49,9 @@ class GameSpec:
     interval of the own control, where the own successor stays in the
     state box, the sweep's objective, u(A - u/2) plus the degree-Np value
     at the successor, is a polynomial of that degree, so its fit there is
-    exact; a keyword `Nu` must equal them.
+    exact; a keyword `Nu` must equal them.  `max_iters` bounds the
+    solver's sweeps; the default 1,000 is well above the few hundred the
+    presets take from the myopic corner at h = 1e-3.
     """
 
     J: int
@@ -64,7 +66,7 @@ class GameSpec:
     U_max: float
     Np: np.ndarray
     tol: float
-    max_iters: int = 200_000
+    max_iters: int = 1_000
     m: np.ndarray = 1.0  # type: ignore[assignment]
     Nu: InitVar[object] = None
 

@@ -28,19 +28,14 @@ One sweep (:func:`_run_sweep`) reads them and performs, at all state nodes:
 3. compare each maximum with the best point of the clamped rest, where
    the objective is the stage gain plus a constant.
 
-The driver (:func:`solve`) runs safeguarded policy iteration.  It starts
-from the linear-feedback equilibrium of the unconstrained
-linear-quadratic game, its gains settled to the solve's own tolerance
-(the construction of :func:`chebnash.oracle.lq_solve`, which settles them
-to 1e-13): its values at the nodes and its policy clipped to [0, U_max].
-A sweep's best responses are the improvement step; solve builds the
-operator at the joint policy they form, evaluates that policy exactly
-with it (:func:`_evaluate_policy`: one LU of the N_P x N_P matrix that
-all players share, built in one buffer per solve), and the next sweep
-starts from those values and reads the same operator.  A proposal whose
-sweep does not lower the Bellman residual is rejected: the driver resumes
-from the sweep that made it, at the same policy and operator, and takes
-1, 2, 4, ... plain value-iteration steps before the next proposal.
+The driver (:func:`solve`) runs Anderson-mixed policy iteration from the
+linear-feedback equilibrium of the unconstrained linear-quadratic game,
+its gains settled to the solve's own tolerance: its values at the nodes
+and its policy clipped to [0, U_max].  Each step mixes a sweep's best
+responses with earlier ones (:func:`_mix`), clips the mix to [0, U_max]
+and evaluates it exactly with its operator (:func:`_evaluate_policy`: one
+LU of the N_P x N_P matrix all players share, built in one buffer per
+solve); the next sweep starts from those values and reads that operator.
 
 Successor states are clamped to the state box before interpolation; the
 solver warns when more than 1% of a sweep's policy successor components
@@ -70,6 +65,8 @@ from .game import (
 from .oracle import _controls, _lq_feedback, _values
 
 _CLAMP_WARN_FRACTION = 0.01
+# Earlier (policy, best response) pairs an Anderson step mixes with the newest.
+_DEPTH = 5
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +105,8 @@ class EquilibriumResult:
 
     `history` holds one row per sweep with the per-player Bellman residual
     sup |T v - v| of the sweep's input values; `iterations` counts sweeps.
-    `evaluations` counts exact policy evaluations and `rejected` the
-    proposals that fell back to value iteration (a proposal whose sweep
-    did not lower the residual, or a singular or non-finite evaluation).
+    `evaluations` counts exact policy evaluations and `restarts` the
+    clears of the Anderson history (see :func:`solve`).
     `clamp_fraction` is the worst per-sweep share of the N_P * J successor
     components of the sweep's joint policy that hit the state box.
     `timings` holds wall seconds: "setup" (grid, workspace and validation
@@ -126,7 +122,7 @@ class EquilibriumResult:
     timings: dict[str, float]
     clamp_fraction: float
     evaluations: int
-    rejected: int
+    restarts: int
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +500,23 @@ def _evaluate_policy(
 
 
 # ---------------------------------------------------------------------------
-# policy-iteration driver
+# Anderson-mixed policy-iteration driver
 # ---------------------------------------------------------------------------
+
+def _mix(tried: list[np.ndarray], answers: list[np.ndarray]) -> np.ndarray:
+    """Type-II Anderson step (Walker & Ni 2011) from policies u_k and best responses G(u_k).
+
+    With dF, dG the differences of consecutive moves G(u_k) - u_k and of
+    consecutive G(u_k), newest last, the step is G(u) - dG gamma for the
+    gamma that minimises |f - dF gamma|_2, f the newest move.
+    """
+    if len(tried) == 1:
+        return answers[0]
+    G = np.stack(answers).reshape(len(answers), -1)
+    F = G - np.stack(tried).reshape(len(tried), -1)
+    gamma = np.linalg.lstsq(np.diff(F, axis=0).T, F[-1], rcond=None)[0]
+    return (G[-1] - gamma @ np.diff(G, axis=0)).reshape(answers[-1].shape)
+
 
 def _initial_fields(spec: GameSpec, grid: StateGrid, init) -> tuple[np.ndarray, np.ndarray]:
     """Validated copies of the caller's (values, policy) start."""
@@ -523,21 +534,21 @@ def _initial_fields(spec: GameSpec, grid: StateGrid, init) -> tuple[np.ndarray, 
 
 
 def solve(spec: GameSpec, init=None) -> EquilibriumResult:
-    """Safeguarded policy iteration to a Bellman residual of tol * (1 - delta).
+    """Anderson-mixed policy iteration to a Bellman residual of tol * (1 - delta).
 
-    Each pass runs one best-response sweep from the current (values,
+    Each step runs one best-response sweep from the current (values,
     policy) pair; its residual r = sup |T v - v| is one `history` row.
     When max r <= tol * (1 - delta) the sweep's input pair is returned:
     one more sweep moves no value by more than tol * (1 - delta).  That
     is not a bound of about tol on the distance to the fixed point: the
     residual is quadratic in a policy gap, so the policies can still lie
     about sqrt(rho * tol) from it, and each player's value moves with the
-    others' policies.  Otherwise the sweep's policy is evaluated
-    exactly and the next sweep starts from the evaluated values.  The
-    proposal is kept if that sweep's residual is below r; if not, the
-    driver resumes from the earlier sweep's output and takes 1, 2, 4, ...
-    value-iteration steps (the wait doubles after every rejection) before
-    proposing again.
+    others' policies.  Otherwise the sweep's (policy, best response) pair
+    joins up to _DEPTH earlier ones, their Anderson step (:func:`_mix`) is
+    clipped to [0, U_max] and evaluated exactly, and the next sweep starts
+    from that pair.  The history restarts (Toth & Kelley 2015) when the
+    largest policy move |u' - u| grows, and when an evaluation is singular
+    or non-finite: the next sweep then starts from this sweep's output.
 
     Parameters
     ----------
@@ -549,7 +560,7 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
         game with its gains settled to `spec.tol`, not to the 1e-13 of
         :func:`chebnash.oracle.lq_solve`: its values at the nodes and its
         policy clipped to [0, U_max].  The stop rule above certifies the
-        result, so the start only has to lie where policy iteration
+        result, so the start only has to lie where the iteration
         converges, and it lies within about tol of the oracle's.  Pass
         ``(zeros, spec.A broadcast to (J, N_P))`` to start from the myopic
         corner instead.
@@ -559,8 +570,8 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     EquilibriumResult
         Non-convergence within max_iters sweeps is reported via the
         `converged` flag rather than an exception, so partial runs can be
-        recorded; such a result holds the output of the last sweep, or of
-        the sweep before it when the last one rejected a proposal.
+        recorded; such a result holds the last evaluated policy and its
+        values, or the last sweep's output when that evaluation failed.
 
     Raises
     ------
@@ -584,50 +595,37 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
     history = []
     clamp_fraction = 0.0
     converged = False
-    iterations = evaluations = rejected = 0
+    iterations = evaluations = restarts = 0
     stop_at = spec.tol * (1.0 - spec.delta)
-    wait = 1            # value-iteration steps after the next rejection
-    vi_left = 0         # value-iteration steps before the next proposal
-    fallback = None     # (Tv, u', residual) of the sweep before a proposal
-    # The operator at u_values; a rejection returns to the policy it was built at.
+    tried, answers = [], []     # Anderson history: policies and their best responses
+    last_move = np.inf
     ops, clamped = _successor_operator(ws, u_values)
     for iterations in range(1, spec.max_iters + 1):
         u_new, v_new = _run_sweep(ws, ops, v_values)
         clamp_fraction = max(clamp_fraction, clamped / u_values.size)
         diffs = np.max(np.abs(v_new - v_values), axis=1)
         history.append(diffs)
-        residual = float(diffs.max())
-        if residual <= stop_at:
+        if diffs.max() <= stop_at:
             converged = True
             break
-        if fallback is not None and residual >= fallback[2]:
-            # The proposal did not lower the residual: resume from the
-            # sweep that made it and wait longer before the next one.
-            v_values, u_values = fallback[0], fallback[1]
-            rejected += 1
-            vi_left, wait = wait, 2 * wait
-            fallback = None
-        else:
-            fallback = None
+        move = float(np.max(np.abs(u_new - u_values)))
+        if tried and move > last_move:
+            tried, answers = [], []
+            restarts += 1
+        last_move = move
+        tried, answers = [*tried[-_DEPTH:], u_values], [*answers[-_DEPTH:], u_new]
+        u_values = np.clip(_mix(tried, answers), 0.0, spec.U_max)
+        ops, clamped = _successor_operator(ws, u_values)
+        evaluations += 1
+        try:
+            v_values = _evaluate_policy(ws, ops, u_values)
+        except np.linalg.LinAlgError:
+            v_values = None
+        if v_values is None or not np.all(np.isfinite(v_values)):
+            tried, answers = [], []
+            restarts += 1
             v_values, u_values = v_new, u_new
             ops, clamped = _successor_operator(ws, u_values)
-            if vi_left:
-                vi_left -= 1
-            else:
-                evaluations += 1
-                try:
-                    proposal = _evaluate_policy(ws, ops, u_values)
-                except np.linalg.LinAlgError:
-                    proposal = None
-                if proposal is not None and np.all(np.isfinite(proposal)):
-                    fallback = (v_values, u_values, residual)
-                    v_values = proposal
-                else:
-                    rejected += 1
-                    vi_left, wait = wait, 2 * wait
-    if fallback is not None and not converged:
-        # Report the last sweep's output, not the untested proposal.
-        v_values, u_values = fallback[0], fallback[1]
     if clamp_fraction > _CLAMP_WARN_FRACTION:
         warnings.warn(
             f"{clamp_fraction:.1%} of successor-state components clamped to the state box; "
@@ -646,7 +644,7 @@ def solve(spec: GameSpec, init=None) -> EquilibriumResult:
                  "sweeps": t_end - t_start, "total": t_end - t_begin},
         clamp_fraction=clamp_fraction,
         evaluations=evaluations,
-        rejected=rejected,
+        restarts=restarts,
     )
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import pytest
 
+from chebnash import solver
 from chebnash.cheb1d import _transform_matrix, clenshaw, derivative_array, make_basis, to_reference
 from chebnash.chebnd import CoefTensor, _row_basis, basis_matrix, eval_full, tensor_coeffs
 from chebnash.game import GameSpec, build_state_grid, discounted_payoff, dynamics
@@ -43,7 +44,7 @@ def solve_quiet(spec, **kw):
 
 
 def myopic_start(spec):
-    """Zero values and the myopic policy u_i = A_i: the start that needs the fallback."""
+    """Zero values and the myopic policy u_i = A_i: a start far from the fixed point."""
     n = build_state_grid(spec).n_nodes
     return np.zeros((spec.J, n)), np.broadcast_to(spec.A[:, None], (spec.J, n))
 
@@ -651,7 +652,7 @@ def test_solve_is_equivariant_under_player_relabelling(seed):
 
 
 def test_contraction_of_sup_differences():
-    # The value-iteration step, which solve falls back to, contracts.
+    # Plain value iteration with the sweep contracts on this spec.
     spec = fast_spec(Np=3)
     grid = build_state_grid(spec)
     values, policy = _zero_fields(spec, grid)
@@ -666,9 +667,9 @@ def test_contraction_of_sup_differences():
 
 
 def test_fallback_keeps_policy_iteration_symmetric():
-    # From the myopic start, accepting every proposal on this spec takes
-    # 588 sweeps and ends with an exchange gap of 4.6e-4; the
-    # value-iteration fallback avoids both.
+    # From the myopic start, plain policy iteration on this spec takes 588
+    # sweeps and ends with an exchange gap of 4.6e-4; the mixed iteration
+    # restarts its history and avoids both.
     spec = preset_spec("example1", Np=8, h=1e-2)
     result = solve_quiet(spec, init=myopic_start(spec))
     assert result.converged
@@ -676,17 +677,17 @@ def test_fallback_keeps_policy_iteration_symmetric():
     u1 = result.policy.values[0].reshape(n, n, order="F")
     u2 = result.policy.values[1].reshape(n, n, order="F")
     assert np.max(np.abs(u1 - u2.T)) <= 1e-8
-    assert result.rejected >= 1
+    assert result.restarts >= 1
     assert 1 <= result.evaluations <= result.iterations
 
 
 def test_lq_start_needs_no_fallback():
-    # From the myopic start this spec takes 86 sweeps, 16 evaluations and
-    # 6 rejected proposals.
+    # From the myopic start this spec takes 24 sweeps, 23 evaluations and
+    # 7 restarts.
     spec = preset_spec("example1", Np=8, h=1e-2)
     result = solve_quiet(spec)
     assert result.converged
-    assert result.rejected == 0
+    assert result.restarts == 0
     assert result.iterations <= 10
 
 
@@ -708,8 +709,8 @@ def test_default_start_is_the_clipped_lq_oracle():
                  (default.policy.values, given.policy.values),
                  (default.history, given.history)]:
         np.testing.assert_array_equal(a, b)
-    assert (default.iterations, default.evaluations, default.rejected) == (
-        given.iterations, given.evaluations, given.rejected)
+    assert (default.iterations, default.evaluations, default.restarts) == (
+        given.iterations, given.evaluations, given.restarts)
 
 
 def test_timings_cover_setup_start_and_sweeps():
@@ -719,9 +720,10 @@ def test_timings_cover_setup_start_and_sweeps():
     assert result.timings["total"] >= result.timings["setup"] + result.timings["start"]
 
 
-def test_fallback_wait_grows_across_accepted_proposals():
-    # A wait that resets after an accepted proposal cycles on this spec
-    # from the myopic start.
+def test_fallback_spec_converges_from_the_myopic_corner():
+    # Plain policy iteration from the myopic start does not lower the
+    # residual at every step on this spec; the mixed iteration takes 8
+    # sweeps and 2 restarts.
     spec = preset_spec("example1", rho=0.5, h=5e-3, tol=1e-7, Np=2,
                        max_iters=2000)
     result = solve_quiet(spec, init=myopic_start(spec))
@@ -729,8 +731,7 @@ def test_fallback_wait_grows_across_accepted_proposals():
 
 
 # From the LQ start this spec stops after one sweep; from the myopic start
-# the iteration rejects proposals, so it runs the revert path: 18 sweeps,
-# 7 evaluations and 3 rejected proposals.
+# the policy move grows twice, so the iteration restarts its history.
 REJECTING = dict(rho=0.5, h=0.01, tol=1e-4, Np=2)
 
 
@@ -738,7 +739,55 @@ def test_rejecting_spec_keeps_its_counts():
     spec = preset_spec("example1", **REJECTING)
     result = solve_quiet(spec, init=myopic_start(spec))
     assert result.converged
-    assert (result.iterations, result.evaluations, result.rejected) == (18, 7, 3)
+    assert (result.iterations, result.evaluations, result.restarts) == (6, 5, 2)
+
+
+@pytest.mark.parametrize("failure", ["singular", "non-finite"])
+def test_failed_evaluation_continues_from_the_sweep(monkeypatch, failure):
+    # The first evaluation fails; the second sweep must start from the
+    # first sweep's own values and policy, with the failure as a restart.
+    spec = preset_spec("example4", h=1e-2)
+    assert solve_quiet(spec).restarts == 0
+    evaluate, sweep = solver._evaluate_policy, solver._run_sweep
+    evaluated, sweeps = [], []
+
+    def failing_evaluate(ws, shared, policy_values):
+        evaluated.append(policy_values)
+        if len(evaluated) > 1:
+            return evaluate(ws, shared, policy_values)
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full((spec.J, ws.grid.n_nodes), np.nan)
+
+    def recording_sweep(ws, shared, node_values):
+        out = sweep(ws, shared, node_values)
+        sweeps.append((ws, shared, node_values, out))
+        return out
+
+    monkeypatch.setattr(solver, "_evaluate_policy", failing_evaluate)
+    monkeypatch.setattr(solver, "_run_sweep", recording_sweep)
+    result = solve_quiet(spec)
+    assert result.converged
+    assert result.restarts >= 1
+    assert result.evaluations == len(evaluated) == result.iterations - 1
+    ws, _, _, (u_first, v_first) = sweeps[0]
+    _, shared, values, _ = sweeps[1]
+    np.testing.assert_array_equal(values, v_first)
+    for got, want in zip(shared, _successor_operator(ws, u_first)[0]):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("Np", [16, 20])
+def test_binding_box_degrees_converge_in_few_sweeps(Np):
+    # u >= 0 binds on this box, so plain policy iteration loses contraction
+    # as the degree grows: it needs the restarts.
+    spec = preset_spec("example1", P_max=1.2, h=1e-2, Np=Np)
+    result = solve_quiet(spec)
+    assert result.converged
+    assert result.iterations <= 10
+    assert result.restarts >= 1
+    if Np == 16:
+        assert _discrete_game_gap(spec, result) <= spec.tol * (1.0 - spec.delta)
 
 
 @pytest.mark.parametrize("spec, rejects", [
@@ -749,7 +798,7 @@ def test_converged_result_is_a_fixed_point_to_tolerance(spec, rejects):
     result = solve_quiet(spec, init=myopic_start(spec) if rejects else None)
     assert result.converged
     if rejects:
-        assert result.rejected >= 1
+        assert result.restarts >= 1
     grid = build_state_grid(spec)
     values, _ = _sweep(spec, grid, result.values.values, result.policy.values)
     moved = np.max(np.abs(values - result.values.values))
@@ -775,12 +824,19 @@ FIXED_POINT_SPECS = {
 @pytest.mark.parametrize("start", ["lq", "myopic"])
 @pytest.mark.parametrize("name", FIXED_POINT_SPECS)
 def test_converged_answer_is_a_fixed_point_of_the_discrete_game(name, start):
-    # Each player's own control runs over a dense grid of [0, U_max] and the
-    # returned control, the others held at theirs; the successors are the
-    # clamped Euler steps, and the objective is the exact one.
     spec = FIXED_POINT_SPECS[name]
     result = solve_quiet(spec, init=myopic_start(spec) if start == "myopic" else None)
     assert result.converged
+    assert _discrete_game_gap(spec, result) <= spec.tol * (1.0 - spec.delta)
+
+
+def _discrete_game_gap(spec, result):
+    """Largest gap between a player's node value and its best exact objective.
+
+    Each player's own control runs over a dense grid of [0, U_max] and the
+    returned control, the others held at theirs; the successors are the
+    clamped Euler steps, and the objective is the exact one.
+    """
     grid = build_state_grid(spec)
     v, u = result.values.values, result.policy.values
     dense = np.broadcast_to(np.linspace(0.0, spec.U_max, 401), (grid.n_nodes, 401))
@@ -789,7 +845,7 @@ def test_converged_answer_is_a_fixed_point_of_the_discrete_game(name, start):
         own = np.concatenate([dense, u[i, :, None]], axis=1)
         best = _exact_objective(spec, grid, i, v[i], u, own).max(axis=1)
         worst = max(worst, float(np.max(np.abs(best - v[i]))))
-    assert worst <= spec.tol * (1.0 - spec.delta)
+    return worst
 
 
 def test_policy_feasible_within_box():
@@ -814,8 +870,8 @@ def test_repeated_solves_are_bitwise_equal():
                  (first.policy.values, second.policy.values),
                  (first.history, second.history)]:
         np.testing.assert_array_equal(a, b)
-    assert (first.iterations, first.evaluations, first.rejected) == (
-        second.iterations, second.evaluations, second.rejected)
+    assert (first.iterations, first.evaluations, first.restarts) == (
+        second.iterations, second.evaluations, second.restarts)
 
 
 @pytest.mark.parametrize("field", ["values", "policy"])
